@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
@@ -22,11 +21,11 @@ import jsonschema
 from . import data as data_mod
 from . import pipelines
 from .classify import LogisticModel, OptimizerConfig, predict, proba_full
-from .data import ColumnSchema, ScalerParams, transform
+from .data import ScalerParams, transform
 from .errors import EdulearnError, ParameterError, SchemaError
 from .numcore import DenseMatrix, DenseVector
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 MODEL_VERSION = 1
 
 OUTPUT_REPORT = "report.json"
@@ -82,9 +81,13 @@ def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory or ".", prefix=".edulearn-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -126,7 +129,7 @@ def metrics_to_doc(metrics, class_names) -> dict:
     }
 
 
-def config_to_doc(opt: OptimizerConfig, train_fraction: float, pass_threshold: float) -> dict:
+def config_to_doc(opt: OptimizerConfig) -> dict:
     return {
         "solver": opt.solver,
         "max_iter": int(opt.max_iter),
@@ -137,8 +140,6 @@ def config_to_doc(opt: OptimizerConfig, train_fraction: float, pass_threshold: f
         "l1": float(opt.l1),
         "lbfgs_memory": int(opt.lbfgs_memory),
         "seed": int(opt.seed),
-        "train_fraction": float(train_fraction),
-        "pass_threshold": float(pass_threshold),
     }
 
 
@@ -162,41 +163,21 @@ def report_to_doc(
     task: str,
     class_names,
     train_fraction: float,
-    pass_threshold: float,
 ) -> dict:
     return {
         "report_version": REPORT_VERSION,
         "task": task,
         "solver": report.solver,
         "data_source": report.data_source,
-        "config_echo": config_to_doc(report.config_echo, train_fraction, pass_threshold),
+        "config_echo": {
+            **config_to_doc(report.config_echo),
+            "train_fraction": float(train_fraction),
+        },
         "class_distribution": {k: int(v) for k, v in report.class_distribution.items()},
         "train_metrics": metrics_to_doc(report.train_metrics, class_names),
         "test_metrics": metrics_to_doc(report.test_metrics, class_names),
         "text_block": text_block(report, class_names),
     }
-
-
-def schema_to_doc(columns) -> dict:
-    doc = {"schema_version": data_mod.SCHEMA_VERSION, "columns": []}
-    for c in columns:
-        entry: dict = {"name": c.name, "kind": c.kind}
-        if c.allowed_values is not None:
-            entry["allowed_values"] = list(c.allowed_values)
-        doc["columns"].append(entry)
-    return doc
-
-
-def linear_model_to_doc(model, feature_names, fit: "object | None" = None) -> dict:
-    """Serialize a regress.LinearModel to the shared report schema."""
-    doc = {
-        "intercept": float(model.intercept),
-        "coefficients": [float(v) for v in model.coefficients.values],
-        "feature_names": list(feature_names),
-    }
-    if fit is not None:
-        doc["fit"] = {"lsr": float(fit.lsr), "r_squared": float(fit.r_squared)}
-    return doc
 
 
 def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
@@ -211,53 +192,49 @@ def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
         "intercepts": [float(v) for v in model.intercepts.values],
         "converged": bool(model.converged),
         "iterations_used": int(model.iterations_used),
-        "config": {
-            "solver": opt.solver,
-            "max_iter": int(opt.max_iter),
-            "epochs": int(opt.epochs),
-            "learning_rate": float(opt.learning_rate),
-            "tol": float(opt.tol),
-            "l2": float(opt.l2),
-            "l1": float(opt.l1),
-            "lbfgs_memory": int(opt.lbfgs_memory),
-            "seed": int(opt.seed),
-        },
+        "config": config_to_doc(opt),
         "scaler": {
             "means": [float(v) for v in bundle.scaler.means.values],
             "stds": [float(v) for v in bundle.scaler.stds.values],
         },
-        "schema": schema_to_doc(bundle.schema) if bundle.schema is not None else None,
+        "schema": data_mod.schema_to_doc(bundle.schema) if bundle.schema is not None else None,
     }
 
 
-def model_from_doc(doc: dict):
-    """Rebuild (model, scaler, schema columns, task, feature_names) from model.json."""
-    if doc.get("model_version") != MODEL_VERSION:
+def model_from_doc(doc):
+    """Rebuild (model, scaler, schema columns, task, feature_names) from model.json.
+
+    A missing or wrong-typed field, or lengths that disagree, is a SchemaError.
+    """
+    if not isinstance(doc, dict) or doc.get("model_version") != MODEL_VERSION:
         raise SchemaError(f"unsupported model document (want model_version {MODEL_VERSION})")
-    model = LogisticModel(
-        weights=DenseMatrix(doc["weights"]),
-        intercepts=DenseVector(doc["intercepts"]),
-        class_names=tuple(doc["class_names"]),
-        converged=bool(doc["converged"]),
-        iterations_used=int(doc["iterations_used"]),
-    )
-    scaler = ScalerParams(
-        means=DenseVector(doc["scaler"]["means"]),
-        stds=DenseVector(doc["scaler"]["stds"]),
-    )
-    columns = None
-    if doc.get("schema") is not None:
-        columns = [
-            ColumnSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                allowed_values=tuple(entry["allowed_values"])
-                if entry.get("allowed_values") is not None
-                else None,
-            )
-            for entry in doc["schema"]["columns"]
-        ]
-    return model, scaler, columns, doc["task"], tuple(doc["feature_names"])
+    try:
+        model = LogisticModel(
+            weights=DenseMatrix(doc["weights"]),
+            intercepts=DenseVector(doc["intercepts"]),
+            class_names=tuple(doc["class_names"]),
+            converged=bool(doc["converged"]),
+            iterations_used=int(doc["iterations_used"]),
+        )
+        scaler = ScalerParams(
+            means=DenseVector(doc["scaler"]["means"]),
+            stds=DenseVector(doc["scaler"]["stds"]),
+        )
+        task = doc["task"]
+        feature_names = tuple(doc["feature_names"])
+    except KeyError as exc:
+        raise SchemaError(f"model document has no field {exc}") from None
+    except (TypeError, ValueError, EdulearnError) as exc:
+        raise SchemaError(f"malformed model document: {exc}") from None
+    if task not in ("style", "academic") or not all(
+        isinstance(name, str) for name in model.class_names + feature_names
+    ):
+        raise SchemaError("malformed model document: task, class and feature names")
+    if not len(feature_names) == model.n_features == len(scaler.means):
+        raise SchemaError("malformed model document: feature_names, weights and scaler lengths")
+    schema = doc.get("schema")
+    columns = data_mod.schema_from_doc(schema) if schema is not None else None
+    return model, scaler, columns, task, feature_names
 
 
 # ---------------------------------------------------------------------------
@@ -312,87 +289,34 @@ def cmd_generate(args, seed: int) -> int:
     csv_path = args.out + OUTPUT_DATA
     schema_path = args.out + OUTPUT_SCHEMA
     atomic_write_text(csv_path, _csv_text(header, rows))
-    schema_text = dumps_canonical(schema_to_doc(columns)) + "\n"
+    schema_text = dumps_canonical(data_mod.schema_to_doc(columns)) + "\n"
     atomic_write_text(schema_path, schema_text)
     print(f"wrote {len(rows)} rows to {csv_path} (schema: {schema_path})")
     return 0
 
 
-OVERRIDE_KEYS = (
-    "max_iter",
-    "epochs",
-    "learning_rate",
-    "l2",
-    "l1",
-    "tol",
-    "train_fraction",
-    "pass_threshold",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated view of a train invocation.
-
-    ``overrides`` holds only the settings the caller actually supplied,
-    restricted to the recognized keys; anything else is a startup error
-    (unknown flags never get this far thanks to argparse).
-    """
-
-    command: str
-    input_path: str | None
-    schema_path: str | None
-    output_path: str
-    solver: str
-    seed: int
-    overrides: dict[str, float]
-
-    def __post_init__(self):
-        unknown = set(self.overrides) - set(OVERRIDE_KEYS)
-        if unknown:
-            raise ParameterError(f"unrecognized override keys: {sorted(unknown)}")
-
-
-def _train_run_config(args, seed: int) -> RunConfig:
-    overrides = {
-        key: getattr(args, key) for key in OVERRIDE_KEYS if getattr(args, key) is not None
-    }
-    return RunConfig(
-        command="train",
-        input_path=args.input,
-        schema_path=args.schema,
-        output_path=args.out,
-        solver=args.solver,
-        seed=seed,
-        overrides=overrides,
-    )
-
-
-def _build_optimizer(cfg: RunConfig, task: str) -> OptimizerConfig:
-    kwargs: dict = {"solver": cfg.solver, "seed": cfg.seed}
+def _build_optimizer(args, seed: int) -> OptimizerConfig:
+    kwargs: dict = {"solver": args.solver, "seed": seed}
     for key in ("max_iter", "epochs", "learning_rate", "tol", "l1", "l2"):
-        if key in cfg.overrides:
-            kwargs[key] = cfg.overrides[key]
-    if task == "style" and "l2" not in kwargs:
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
+    if args.task == "style" and "l2" not in kwargs:
         kwargs["l2"] = 0.1  # separable planted data: keep weights finite
     return OptimizerConfig(**kwargs)
 
 
 def cmd_train(args, seed: int) -> int:
-    cfg = _train_run_config(args, seed)
-    opt = _build_optimizer(cfg, args.task)
-    train_fraction = cfg.overrides.get("train_fraction", 0.7)
-    pass_threshold = cfg.overrides.get("pass_threshold", 70.0)
-    split_spec = data_mod.SplitSpec(train_fraction=train_fraction, seed=seed)
+    opt = _build_optimizer(args, seed)
+    split_spec = data_mod.SplitSpec(train_fraction=args.train_fraction, seed=seed)
 
     if args.task == "style":
-        if cfg.input_path is not None:
+        if args.input is not None:
             columns = (
-                data_mod.read_schema(cfg.schema_path)
-                if cfg.schema_path is not None
+                data_mod.read_schema(args.schema)
+                if args.schema is not None
                 else pipelines.style_schema()
             )
-            raw = data_mod.load_csv(cfg.input_path, columns)
+            raw = data_mod.load_csv(args.input, columns)
             ds = pipelines.collapse_score_columns(raw)
             resolved = data_mod.resolved_schema(columns, raw)
             report, bundle = pipelines.fit_dataset(
@@ -404,30 +328,26 @@ def cmd_train(args, seed: int) -> int:
             )
             report, bundle = pipelines.fit_style_experiment(gen, opt, split_spec)
     else:
-        if cfg.input_path is not None:
-            source = pipelines.CsvSource(cfg.input_path, cfg.schema_path)
+        if args.input is not None:
+            source = pipelines.CsvSource(args.input, args.schema)
         else:
             source = pipelines.SyntheticSource(
                 n_rows=args.n if args.n is not None else 5000, seed=seed
             )
         report, bundle = pipelines.fit_academic_case_study(source, args.solver, split_spec, opt)
 
-    doc = report_to_doc(report, args.task, bundle.class_names, train_fraction, pass_threshold)
+    doc = report_to_doc(report, args.task, bundle.class_names, args.train_fraction)
     report_text = dumps_canonical(doc) + "\n"
     jsonschema.validate(json.loads(report_text), _report_schema())
-    atomic_write_text(cfg.output_path + OUTPUT_REPORT, report_text)
-    atomic_write_text(
-        cfg.output_path + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n"
-    )
+    atomic_write_text(args.out + OUTPUT_REPORT, report_text)
+    atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
     if not args.json:
         print(doc["text_block"])
     return 0
 
 
 def cmd_predict(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model, scaler, columns, task, feature_names = model_from_doc(doc)
+    model, scaler, columns, task, feature_names = model_from_doc(data_mod.read_json(args.model))
     if columns is None:
         raise SchemaError("model document carries no schema; cannot ingest raw CSV input")
     ds = data_mod.load_csv(args.input, columns, require_target=False)
@@ -488,8 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--l1", type=float)
     train.add_argument("--l2", type=float)
     train.add_argument("--tol", type=float)
-    train.add_argument("--train-fraction", type=float, dest="train_fraction")
-    train.add_argument("--pass-threshold", type=float, dest="pass_threshold")
+    train.add_argument("--train-fraction", type=float, default=0.7, dest="train_fraction")
     train.add_argument("--json", action="store_true", help="suppress the text metrics block")
     train.add_argument("--out", default="", help="output path prefix")
 
@@ -521,15 +440,9 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(args, _resolve_seed(args))
         return cmd_predict(args)
-    except ParameterError as exc:
+    except (EdulearnError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except EdulearnError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParameterError, OSError)) else 1
 
 
 def entrypoint() -> None:

@@ -49,6 +49,9 @@ __all__ = [
     "Dataset",
     "ScalerParams",
     "SplitSpec",
+    "schema_to_doc",
+    "schema_from_doc",
+    "read_json",
     "read_schema",
     "write_schema",
     "load_csv",
@@ -163,8 +166,8 @@ class SplitSpec:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
-def write_schema(path, columns: list[ColumnSchema]) -> None:
-    """Write a versioned schema document (see module docstring for format)."""
+def schema_to_doc(columns: list[ColumnSchema]) -> dict:
+    """The versioned schema document of ``columns`` (format in the module docstring)."""
     _check_columns(columns)
     doc = {"schema_version": SCHEMA_VERSION, "columns": []}
     for c in columns:
@@ -172,6 +175,47 @@ def write_schema(path, columns: list[ColumnSchema]) -> None:
         if c.allowed_values is not None:
             entry["allowed_values"] = list(c.allowed_values)
         doc["columns"].append(entry)
+    return doc
+
+
+def schema_from_doc(doc) -> list[ColumnSchema]:
+    """Parse and validate a schema document; the inverse of schema_to_doc."""
+    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema document (want schema_version {SCHEMA_VERSION})")
+    entries = doc.get("columns", [])
+    if not isinstance(entries, list):
+        raise SchemaError("schema document: 'columns' must be a list")
+    columns = []
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("kind"), str)
+        ):
+            raise SchemaError(f"schema document: column {i} needs a string 'name' and 'kind'")
+        allowed = entry.get("allowed_values")
+        if allowed is not None and not (
+            isinstance(allowed, list) and all(isinstance(v, str) for v in allowed)
+        ):
+            raise SchemaError(f"column '{entry['name']}': allowed_values must be a list of strings")
+        columns.append(ColumnSchema(entry["name"], entry["kind"], allowed))
+    _check_columns(columns)
+    return columns
+
+
+def read_json(path):
+    """Parse a JSON file. Text that is not JSON is a SchemaError; a file that
+    cannot be opened stays an OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not a JSON document ({exc})") from None
+
+
+def write_schema(path, columns: list[ColumnSchema]) -> None:
+    """Write the schema document of ``columns`` to ``path``."""
+    doc = schema_to_doc(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -179,22 +223,7 @@ def write_schema(path, columns: list[ColumnSchema]) -> None:
 
 def read_schema(path) -> list[ColumnSchema]:
     """Read and validate a schema document."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema document (want schema_version {SCHEMA_VERSION})")
-    columns = []
-    for entry in doc.get("columns", []):
-        allowed = entry.get("allowed_values")
-        columns.append(
-            ColumnSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                allowed_values=tuple(allowed) if allowed is not None else None,
-            )
-        )
-    _check_columns(columns)
-    return columns
+    return schema_from_doc(read_json(path))
 
 
 def _parse_numeric(cell: str, row: int, column: str) -> float:

@@ -47,14 +47,12 @@ __all__ = [
     "fit_dataset",
     "build_style_dataset",
     "collapse_score_columns",
-    "run_style_experiment",
     "fit_style_experiment",
     "academic_schema",
     "generate_academic_synthetic",
     "academic_bayes_predict",
     "academic_csv_rows",
     "academic_defaults",
-    "run_academic_case_study",
     "fit_academic_case_study",
 ]
 
@@ -378,16 +376,10 @@ def fit_dataset(
 def fit_style_experiment(
     gen: StyleGenConfig, opt: OptimizerConfig, split_spec: SplitSpec
 ) -> tuple[CaseStudyReport, FitBundle]:
-    ds = build_style_dataset(generate_style_sessions(gen))
-    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
-
-
-def run_style_experiment(
-    gen: StyleGenConfig, opt: OptimizerConfig, split_spec: SplitSpec
-) -> CaseStudyReport:
     """Generate sessions, build the 6-feature matrix, split, scale, train a
     binary logistic model, and report train/test metrics."""
-    return fit_style_experiment(gen, opt, split_spec)[0]
+    ds = build_style_dataset(generate_style_sessions(gen))
+    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +689,8 @@ def fit_academic_case_study(
     split_spec: SplitSpec,
     opt: OptimizerConfig | None = None,
 ) -> tuple[CaseStudyReport, FitBundle]:
+    """Ingest, 70:30 split (per split_spec), train-fit scaling, train with the
+    named solver, and report metrics plus the training class distribution."""
     if opt is None:
         opt = academic_defaults(solver)
     if opt.solver != solver:
@@ -719,14 +713,3 @@ def fit_academic_case_study(
     else:
         raise ParameterError(f"unsupported source type {type(source).__name__}")
     return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
-
-
-def run_academic_case_study(
-    source,
-    solver: str,
-    split_spec: SplitSpec,
-    opt: OptimizerConfig | None = None,
-) -> CaseStudyReport:
-    """Ingest, 70:30 split (per split_spec), train-fit scaling, train with the
-    named solver, and report metrics plus the training class distribution."""
-    return fit_academic_case_study(source, solver, split_spec, opt)[0]

@@ -41,11 +41,11 @@ from edulearn.pipelines import (
     SyntheticSource,
     academic_bayes_predict,
     build_style_dataset,
+    fit_academic_case_study,
+    fit_style_experiment,
     generate_academic_synthetic,
     generate_style_sessions,
     route_learner_stage,
-    run_academic_case_study,
-    run_style_experiment,
     style_ratio_label,
 )
 from edulearn.regress import fit_multiple, fit_simple, r_squared
@@ -214,9 +214,9 @@ def test_criterion_5_paper_case_study_external():
             "(set EDULEARN_ACADEMIC_CSV to run the published-accuracy bands)"
         )
     split_spec = SplitSpec(0.7, seed=0)
-    lb = run_academic_case_study(CsvSource(path), "lbfgs", split_spec)
+    lb = fit_academic_case_study(CsvSource(path), "lbfgs", split_spec)[0]
     assert 0.8589 <= lb.test_metrics.accuracy <= 0.8889, lb.test_metrics.accuracy
-    sg = run_academic_case_study(CsvSource(path), "sgd", split_spec)
+    sg = fit_academic_case_study(CsvSource(path), "sgd", split_spec)[0]
     assert 0.8110 <= sg.test_metrics.accuracy <= 0.8510, sg.test_metrics.accuracy
     _report(
         5,
@@ -236,11 +236,11 @@ def test_criterion_6_synthetic_case_study_vs_bayes():
     bayes_acc = float((bayes[test_idx] == ds.targets[test_idx]).mean())
 
     split_spec = SplitSpec(0.7, seed=split_seed)
-    lb = run_academic_case_study(SyntheticSource(n, gen_seed), "lbfgs", split_spec)
+    lb = fit_academic_case_study(SyntheticSource(n, gen_seed), "lbfgs", split_spec)[0]
     lb_gap = abs(lb.test_metrics.accuracy - bayes_acc)
     assert lb_gap <= 0.02, (lb.test_metrics.accuracy, bayes_acc)
 
-    sg = run_academic_case_study(SyntheticSource(n, gen_seed), "sgd", split_spec)
+    sg = fit_academic_case_study(SyntheticSource(n, gen_seed), "sgd", split_spec)[0]
     sg_gap = abs(sg.test_metrics.accuracy - bayes_acc)
     assert sg_gap <= 0.04, (sg.test_metrics.accuracy, bayes_acc)
 
@@ -255,18 +255,18 @@ def test_criterion_6_synthetic_case_study_vs_bayes():
 
 def test_criterion_7_style_pipeline():
     start = time.monotonic()
-    noiseless = run_style_experiment(
+    noiseless = fit_style_experiment(
         StyleGenConfig(n_students=200, sessions_per_student=3, visual_fraction=0.5,
                        noise_std=0.0, seed=5),
         OptimizerConfig(solver="lbfgs", l2=0.1),
         SplitSpec(0.7, seed=9),
-    )
+    )[0]
     assert noiseless.test_metrics.accuracy == 1.0
 
     gen = StyleGenConfig(n_students=2000, sessions_per_student=1, visual_fraction=0.5,
                          noise_std=10.0, seed=17)
     split_spec = SplitSpec(0.7, seed=23)
-    noisy = run_style_experiment(gen, OptimizerConfig(solver="lbfgs", l2=0.01), split_spec)
+    noisy = fit_style_experiment(gen, OptimizerConfig(solver="lbfgs", l2=0.01), split_spec)[0]
 
     # brute-force threshold oracle on the score difference, tuned on train rows
     ds = build_style_dataset(generate_style_sessions(gen))

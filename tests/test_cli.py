@@ -3,10 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import cli_env
 
+from edulearn import cli
 from edulearn.cli import dumps_canonical, format_float, main, model_from_doc
 
 
@@ -57,7 +59,7 @@ def test_train_writes_valid_report_and_model(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "t_report.json").read_text())
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert report["task"] == "academic"
     assert report["data_source"] == "synthetic"
     assert set(report["class_distribution"]) == {"Graduate", "Dropout", "Enrolled"}
@@ -87,7 +89,6 @@ def test_train_config_echo_reflects_flags(tmp_path):
     assert echo["epochs"] == 100
     assert echo["seed"] == 5
     assert echo["train_fraction"] == 0.7
-    assert echo["pass_threshold"] == 70.0
 
 
 def test_train_deterministic_bytes(tmp_path):
@@ -266,6 +267,8 @@ def test_env_seed_fallback(tmp_path):
 def test_missing_input_file_exits_2(tmp_path):
     r = run_cli(["train", "--task", "academic", "--input", "nope.csv", "--seed", "0"], tmp_path)
     assert r.returncode == 2, r.stderr  # unreadable path is a usage error
+    r = run_cli(["predict", "--model", "nope.json", "--input", "nope.csv"], tmp_path)
+    assert r.returncode == 2, r.stderr
 
 
 def test_main_returns_int_in_process(tmp_path):
@@ -293,18 +296,135 @@ def test_train_with_explicit_schema(tmp_path):
     assert json.loads((tmp_path / "s_report.json").read_text())["data_source"] == "external"
 
 
-def test_linear_model_report_serialization():
-    from edulearn.cli import linear_model_to_doc
-    from edulearn.regress import fit_multiple, fit_stat
+@pytest.fixture(scope="module")
+def style_model(tmp_path_factory):
+    """A style model trained in-process on a small generated classroom."""
+    work = tmp_path_factory.mktemp("style_model")
+    assert main(["generate", "--kind", "style", "--n", "10", "--seed", "2",
+                 "--out", str(work / "d_")]) == 0
+    assert main(["train", "--task", "style", "--input", str(work / "d_data.csv"),
+                 "--seed", "2", "--out", str(work / "m_"), "--json"]) == 0
+    return work
 
-    rng = __import__("numpy").random.default_rng(0)
-    x = rng.normal(size=(20, 2))
-    y = 1.0 + x @ rng.normal(size=2)
-    model = fit_multiple(x, y)
-    doc = linear_model_to_doc(model, ["a", "b"], fit_stat(model, x, y))
-    text = dumps_canonical(doc)
-    parsed = json.loads(text)
-    assert set(parsed) == {"intercept", "coefficients", "feature_names", "fit"}
-    assert set(parsed["fit"]) == {"lsr", "r_squared"}
-    assert parsed["feature_names"] == ["a", "b"]
-    assert len(parsed["coefficients"]) == 2
+
+def _malformed_model(model_text):
+    doc = json.loads(model_text)
+    doc["weights"] = 3
+    return json.dumps(doc)
+
+
+def _malformed_model_schema(model_text):
+    doc = json.loads(model_text)
+    doc["schema"]["columns"][0] = {"name": "student_id"}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "make_doc",
+    [
+        lambda _: '{"model_version": 1}',
+        lambda _: "not json {",
+        _malformed_model,
+        _malformed_model_schema,
+    ],
+    ids=["missing-fields", "not-json", "wrong-type", "bad-schema"],
+)
+def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
+    text = make_doc((style_model / "m_model.json").read_text())
+    (tmp_path / "bad_model.json").write_text(text)
+    r = run_cli(["predict", "--model", "bad_model.json",
+                 "--input", str(style_model / "d_data.csv"), "--out", "b_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error[SchemaError]"), r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "b_predictions.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [{"name": "x", "kind": "numeric"}, [1], [{"name": "x"}]],
+    ids=["columns-not-a-list", "entry-not-an-object", "entry-without-kind"],
+)
+def test_train_malformed_schema_exits_1(style_model, tmp_path, columns):
+    (tmp_path / "s.json").write_text(json.dumps({"schema_version": 1, "columns": columns}))
+    r = run_cli(["train", "--task", "style", "--input", str(style_model / "d_data.csv"),
+                 "--schema", "s.json", "--seed", "0", "--out", "s_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error[SchemaError]"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"]
+)
+def test_outputs_take_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["generate", "--kind", "style", "--n", "10", "--seed", "0",
+                     "--out", str(tmp_path / "g_")]) == 0
+        assert main(["train", "--task", "style", "--n", "10", "--seed", "0",
+                     "--out", str(tmp_path / "t_"), "--json"]) == 0
+    finally:
+        os.umask(old)
+    names = ["g_data.csv", "g_schema.json", "t_report.json", "t_model.json"]
+    assert {n: stat.S_IMODE((tmp_path / n).stat().st_mode) for n in names} == dict.fromkeys(
+        names, mode
+    )
+
+
+# Every train option except --out, --json and --schema, as (base arguments,
+# arguments that set the option to a non-default value). The base picks a
+# solver the option applies to; a later repeat of an option overrides it.
+_BASE = ["train", "--task", "academic", "--n", "200", "--seed", "1"]
+_SGD = [*_BASE, "--solver", "sgd", "--epochs", "5"]
+FLAG_CASES = {
+    "--task": (_BASE, ["--task", "style"]),
+    "--input": (["train", "--task", "style", "--seed", "1"], ["--input", "in_data.csv"]),
+    "--solver": (_BASE, ["--solver", "gd"]),
+    "--seed": (_BASE, ["--seed", "2"]),
+    "--n": (_BASE, ["--n", "150"]),
+    "--max-iter": (_BASE, ["--max-iter", "3"]),
+    "--tol": ([*_BASE, "--solver", "gd"], ["--tol", "0.01"]),
+    "--epochs": ([*_BASE, "--solver", "sgd"], ["--epochs", "3"]),
+    "--learning-rate": (_SGD, ["--learning-rate", "0.1"]),
+    "--l1": (_SGD, ["--l1", "0.01"]),
+    "--l2": (_BASE, ["--l2", "0.5"]),
+    "--train-fraction": (_BASE, ["--train-fraction", "0.5"]),
+}
+
+
+def test_flag_cases_cover_every_train_option():
+    subcommands = next(a for a in cli._build_parser()._actions if a.choices)
+    train = subcommands.choices["train"]
+    options = {a.option_strings[-1] for a in train._actions if a.option_strings}
+    assert options - {"--help", "--out", "--json", "--schema"} == set(FLAG_CASES)
+
+
+def _written_outside_echo(argv, prefix):
+    assert main([*argv, "--json", "--out", prefix]) == 0
+    report = json.loads(Path(prefix + "report.json").read_text())
+    model = json.loads(Path(prefix + "model.json").read_text())
+    del report["config_echo"], model["config"]
+    return report, model
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+def test_train_option_changes_the_outputs(tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EDULEARN_SEED", raising=False)
+    assert main(["generate", "--kind", "style", "--n", "20", "--seed", "9", "--out", "in_"]) == 0
+    base, extra = FLAG_CASES[flag]
+    assert _written_outside_echo(base, "a_") != _written_outside_echo([*base, *extra], "b_")
+
+
+def test_schema_file_and_generate_write_the_same_bytes(tmp_path):
+    from edulearn.data import ColumnSchema, schema_to_doc, write_schema
+
+    columns = [
+        ColumnSchema("größe", "numeric"),
+        ColumnSchema("c", "categorical", allowed_values=("née", "x")),
+        ColumnSchema("Target", "target", allowed_values=("A", "B")),
+    ]
+    write_schema(tmp_path / "s.json", columns)
+    text = (tmp_path / "s.json").read_text(encoding="utf-8")
+    assert text == dumps_canonical(schema_to_doc(columns)) + "\n"

@@ -266,6 +266,18 @@ def test_schema_version_checked(tmp_path):
     path = _write(tmp_path, "s.json", '{"schema_version": 99, "columns": []}')
     with pytest.raises(SchemaError):
         read_schema(path)
+    # malformed documents are SchemaErrors too, not KeyError/AttributeError
+    for text in (
+        "not json",
+        '{"schema_version": 1, "columns": {"name": "x", "kind": "numeric"}}',
+        '{"schema_version": 1, "columns": [1]}',
+        '{"schema_version": 1, "columns": [{"name": "x"}]}',
+        '{"schema_version": 1, "columns": [{"kind": "numeric"}]}',
+        '{"schema_version": 1, "columns": [{"name": "c", "kind": "categorical", '
+        '"allowed_values": "ab"}]}',
+    ):
+        with pytest.raises(SchemaError):
+            read_schema(_write(tmp_path, "s.json", text))
 
 
 def test_schema_validation():

@@ -22,11 +22,11 @@ from edulearn.pipelines import (
     build_style_dataset,
     class_level_summary,
     collapse_score_columns,
+    fit_academic_case_study,
+    fit_style_experiment,
     generate_academic_synthetic,
     generate_style_sessions,
     route_learner_stage,
-    run_academic_case_study,
-    run_style_experiment,
     style_ratio_label,
     style_schema,
 )
@@ -163,22 +163,22 @@ def test_style_csv_round_trip_matches_direct(tmp_path):
 
 
 def test_run_style_experiment_noiseless_is_perfect():
-    report = run_style_experiment(
+    report = fit_style_experiment(
         StyleGenConfig(n_students=200, sessions_per_student=3, noise_std=0.0, seed=5),
         OptimizerConfig(solver="lbfgs", l2=0.1),
         SplitSpec(0.7, seed=9),
-    )
+    )[0]
     assert report.test_metrics.accuracy == 1.0
     assert report.train_metrics.accuracy == 1.0
 
 
 def test_run_style_experiment_noiseless_other_seeds():
     for seed in (0, 1, 2):
-        report = run_style_experiment(
+        report = fit_style_experiment(
             StyleGenConfig(n_students=100, sessions_per_student=2, noise_std=0.0, seed=seed),
             OptimizerConfig(solver="lbfgs", l2=0.1),
             SplitSpec(0.7, seed=50 + seed),
-        )
+        )[0]
         assert report.test_metrics.accuracy == 1.0
 
 
@@ -186,7 +186,7 @@ def test_run_style_experiment_deterministic():
     gen = StyleGenConfig(n_students=60, seed=4)
     opt = OptimizerConfig(solver="lbfgs", l2=0.1)
     split = SplitSpec(0.7, seed=8)
-    assert run_style_experiment(gen, opt, split) == run_style_experiment(gen, opt, split)
+    assert fit_style_experiment(gen, opt, split)[0] == fit_style_experiment(gen, opt, split)[0]
 
 
 def test_packaged_external_schema_parses():
@@ -260,9 +260,9 @@ def test_academic_bayes_predict_aligns():
 
 
 def test_run_academic_case_study_synthetic():
-    report = run_academic_case_study(
+    report = fit_academic_case_study(
         SyntheticSource(n_rows=600, seed=1), "lbfgs", SplitSpec(0.7, seed=2)
-    )
+    )[0]
     assert report.data_source == "synthetic"
     assert report.solver == "lbfgs"
     assert sum(report.class_distribution.values()) == 420  # train rows
@@ -278,29 +278,29 @@ def test_run_academic_case_study_external_csv(tmp_path):
     csv_path.write_text(_csv_text(header, rows), encoding="utf-8")
     schema_path = tmp_path / "a.schema.json"
     write_schema(schema_path, academic_schema())
-    report = run_academic_case_study(
+    report = fit_academic_case_study(
         CsvSource(str(csv_path), str(schema_path)), "lbfgs", SplitSpec(0.7, seed=2)
-    )
+    )[0]
     assert report.data_source == "external"
 
 
 def test_run_academic_case_study_solver_mismatch():
     with pytest.raises(ParameterError):
-        run_academic_case_study(
+        fit_academic_case_study(
             SyntheticSource(n_rows=100, seed=0),
             "sgd",
             SplitSpec(0.7, seed=0),
             OptimizerConfig(solver="lbfgs"),
-        )
+        )[0]
 
 
 def test_case_study_reports_identical_across_runs():
     source = SyntheticSource(n_rows=400, seed=3)
     split = SplitSpec(0.7, seed=4)
-    r1 = run_academic_case_study(source, "sgd", split,
-                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))
-    r2 = run_academic_case_study(source, "sgd", split,
-                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))
+    r1 = fit_academic_case_study(source, "sgd", split,
+                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))[0]
+    r2 = fit_academic_case_study(source, "sgd", split,
+                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))[0]
     assert r1 == r2
 
 
