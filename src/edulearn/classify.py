@@ -165,15 +165,21 @@ def sigmoid(z):
     arr = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("sigmoid requires finite input")
+    out = _sigmoid(arr)
+    if np.isscalar(z) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def _sigmoid(arr: np.ndarray) -> np.ndarray:
+    # sigmoid without the input check, for the objectives: a non-finite
+    # input gives a non-finite output that the trainers' own checks report
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, _P_MIN, _P_MAX)
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(out)
-    return out
+    return np.clip(out, _P_MIN, _P_MAX)
 
 
 def _sigmoid_scalar(z: float) -> float:
@@ -199,7 +205,7 @@ def _binary_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, l2: floa
     w, b = theta[:d], theta[d]
     z = x @ w + b
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w @ w)
-    dz = (sigmoid(z) - y) / n
+    dz = (_sigmoid(z) - y) / n
     grad = np.empty(d + 1)
     grad[:d] = x.T @ dz + l2 * w
     grad[d] = dz.sum()
@@ -283,6 +289,21 @@ def _resolve_classes(y: np.ndarray, class_names) -> tuple[tuple[str, ...], int]:
     return names, k
 
 
+def _fit_inputs(solver: str, x, y, cfg: OptimizerConfig, class_names):
+    """Shared trainer preamble: the solver guard, then the C-ordered matrix,
+    integer labels, class names, class count, objective and parameter count.
+
+    The guard stops a config meant for another solver (say an sgd config
+    with l1 > 0) from being run, and its settings ignored, by this one.
+    """
+    if cfg.solver != solver:
+        raise ParameterError(f"fit_{solver} called with solver '{cfg.solver}'")
+    xm = np.ascontiguousarray(as_matrix(x))
+    yi = np.asarray(y, dtype=np.int64)
+    names, k = _resolve_classes(yi, class_names)
+    return (xm, yi, names, k, *_make_objective(xm, yi, k, cfg.l2))
+
+
 def _make_objective(x: np.ndarray, y: np.ndarray, k: int, l2: float):
     if k == 2:
         yb = y.astype(np.float64)
@@ -361,12 +382,7 @@ def _descent_loop(objective, n_params: int, cfg: OptimizerConfig, direction_fn, 
 
 def fit_gd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     """Full-batch gradient descent with Armijo backtracking from zero weights."""
-    if cfg.solver != "gd":
-        raise ParameterError(f"fit_gd called with solver '{cfg.solver}'")
-    xm = as_matrix(x)
-    yi = np.asarray(y, dtype=np.int64)
-    names, k = _resolve_classes(yi, class_names)
-    objective, n_params = _make_objective(xm, yi, k, cfg.l2)
+    xm, _, names, k, objective, n_params = _fit_inputs("gd", x, y, cfg, class_names)
     theta, converged, iterations, loss_path = _descent_loop(
         objective, n_params, cfg, lambda grad: -grad
     )
@@ -379,12 +395,7 @@ def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     The inverse-Hessian seed is scaled by s.y / y.y from the most recent
     pair; pairs with curvature s.y <= 1e-12 are skipped.
     """
-    if cfg.solver != "lbfgs":
-        raise ParameterError(f"fit_lbfgs called with solver '{cfg.solver}'")
-    xm = as_matrix(x)
-    yi = np.asarray(y, dtype=np.int64)
-    names, k = _resolve_classes(yi, class_names)
-    objective, n_params = _make_objective(xm, yi, k, cfg.l2)
+    xm, _, names, k, objective, n_params = _fit_inputs("lbfgs", x, y, cfg, class_names)
 
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
 
@@ -422,12 +433,7 @@ def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
 def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     """Per-sample SGD: constant rate, seeded reshuffle each epoch, exactly
     cfg.epochs epochs, l2 added per sample and l1 via per-step soft threshold."""
-    if cfg.solver != "sgd":
-        raise ParameterError(f"fit_sgd called with solver '{cfg.solver}'")
-    xm = np.ascontiguousarray(as_matrix(x))
-    yi = np.asarray(y, dtype=np.int64)
-    names, k = _resolve_classes(yi, class_names)
-    objective, n_params = _make_objective(xm, yi, k, cfg.l2)
+    xm, yi, names, k, objective, n_params = _fit_inputs("sgd", x, y, cfg, class_names)
     n, d = xm.shape
     lr, l1, l2 = cfg.learning_rate, cfg.l1, cfg.l2
     rng = np.random.default_rng(cfg.seed)

@@ -249,31 +249,16 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _style_csv(pairs) -> tuple[list[str], list[list[str]]]:
-    header = [c.name for c in pipelines.style_schema()]
-    rows = []
-    for session, label in pairs:
-        rows.append(
-            [
-                session.student_id,
-                session.instructor_id,
-                str(session.day),
-                repr(session.visual_score),
-                repr(session.auditory_score),
-                repr(session.comprehension_time),
-                str(session.prior_preferred_style),
-                repr(session.time_of_day),
-                repr(session.instructor_score),
-                repr(session.lesson_duration),
-                pipelines.STYLE_CLASS_NAMES[int(label)],
-            ]
-        )
-    return header, rows
+    # str of a float is its shortest round-tripping repr
+    columns = pipelines.style_session_columns(pairs)
+    return list(columns), [[str(v) for v in row] for row in zip(*columns.values())]
 
 
 def cmd_generate(args, seed: int) -> int:
+    n = pipelines.DEFAULT_SIZES[args.kind] if args.n is None else args.n
     if args.kind == "style":
         cfg = pipelines.StyleGenConfig(
-            n_students=args.n if args.n is not None else 200,
+            n_students=n,
             sessions_per_student=args.sessions_per_student,
             visual_fraction=args.visual_fraction,
             noise_std=args.noise_std,
@@ -282,7 +267,6 @@ def cmd_generate(args, seed: int) -> int:
         header, rows = _style_csv(pipelines.generate_style_sessions(cfg))
         columns = pipelines.style_schema()
     else:
-        n = args.n if args.n is not None else 5000
         header, rows = pipelines.academic_csv_rows(n, seed)
         columns = pipelines.academic_schema()
 
@@ -308,33 +292,10 @@ def _build_optimizer(args, seed: int) -> OptimizerConfig:
 def cmd_train(args, seed: int) -> int:
     opt = _build_optimizer(args, seed)
     split_spec = data_mod.SplitSpec(train_fraction=args.train_fraction, seed=seed)
-
-    if args.task == "style":
-        if args.input is not None:
-            columns = (
-                data_mod.read_schema(args.schema)
-                if args.schema is not None
-                else pipelines.style_schema()
-            )
-            raw = data_mod.load_csv(args.input, columns)
-            ds = pipelines.collapse_score_columns(raw)
-            resolved = data_mod.resolved_schema(columns, raw)
-            report, bundle = pipelines.fit_dataset(
-                ds, opt, split_spec, "external", "style", resolved
-            )
-        else:
-            gen = pipelines.StyleGenConfig(
-                n_students=args.n if args.n is not None else 200, seed=seed
-            )
-            report, bundle = pipelines.fit_style_experiment(gen, opt, split_spec)
-    else:
-        if args.input is not None:
-            source = pipelines.CsvSource(args.input, args.schema)
-        else:
-            source = pipelines.SyntheticSource(
-                n_rows=args.n if args.n is not None else 5000, seed=seed
-            )
-        report, bundle = pipelines.fit_academic_case_study(source, args.solver, split_spec, opt)
+    ds, schema, data_source = pipelines.task_dataset(
+        args.task, args.input, args.schema, args.n, seed
+    )
+    report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task, schema)
 
     doc = report_to_doc(report, args.task, bundle.class_names, args.train_fraction)
     report_text = dumps_canonical(doc) + "\n"
@@ -350,9 +311,7 @@ def cmd_predict(args) -> int:
     model, scaler, columns, task, feature_names = model_from_doc(data_mod.read_json(args.model))
     if columns is None:
         raise SchemaError("model document carries no schema; cannot ingest raw CSV input")
-    ds = data_mod.load_csv(args.input, columns, require_target=False)
-    if task == "style":
-        ds = pipelines.collapse_score_columns(ds)
+    ds = pipelines.task_features(task, data_mod.load_csv(args.input, columns, require_target=False))
     if ds.feature_names != feature_names:
         missing = [n for n in feature_names if n not in ds.feature_names]
         extra = [n for n in ds.feature_names if n not in feature_names]

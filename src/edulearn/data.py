@@ -27,10 +27,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (
+    DegenerateDataError,
     DimensionError,
     LabelError,
     ParameterError,
@@ -54,6 +56,7 @@ __all__ = [
     "read_json",
     "read_schema",
     "write_schema",
+    "encode_columns",
     "load_csv",
     "resolved_schema",
     "split",
@@ -226,102 +229,90 @@ def read_schema(path) -> list[ColumnSchema]:
     return schema_from_doc(read_json(path))
 
 
-def _parse_numeric(cell: str, row: int, column: str) -> float:
+def _parse_numeric(cells, column: str) -> np.ndarray:
+    """One numeric column as floats; the first cell that is not a finite
+    number is a ParseError naming its row."""
     try:
-        value = float(cell)
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        raise ParseError(f"row {row}, column '{column}': cannot parse '{cell}' as a number") from None
-    if not math.isfinite(value):
-        raise ParseError(f"row {row}, column '{column}': non-finite value '{cell}'")
-    return value
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    for i, cell in enumerate(cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"row {i + 1}, column '{column}': cannot parse '{cell}' as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {i + 1}, column '{column}': non-finite value '{cell}'")
 
 
-def _encode_columns(
-    columns: list[ColumnSchema],
-    raw: dict[str, list[str]],
-    n_rows: int,
-    has_target: bool,
-) -> Dataset:
-    """Turn per-column cell strings into an encoded Dataset.
+def _category_codes(col: ColumnSchema, cells) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Category index of every cell, and the categories: the column's
+    allowed_values, or its distinct cells in first-appearance order.
 
-    Feature columns appear in schema order; each categorical expands in place
-    into one indicator column per category.
+    Cells are compared as Python strings (an object array), so a cell such as
+    'yes\\x00' stays distinct from 'yes'.
     """
+    cells = np.asarray(cells, dtype=object)
+    categories = tuple(col.allowed_values or dict.fromkeys(cells))
+    index = {v: k for k, v in enumerate(categories)}
+    codes = np.fromiter(map(index.get, cells, repeat(-1)), np.int64, len(cells))
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        where = "target" if col.kind == "target" else "column"
+        raise LabelError(
+            f"row {bad[0] + 1}, {where} '{col.name}': value '{cells[bad[0]]}' not in allowed_values"
+        )
+    return codes, categories
+
+
+def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = True) -> Dataset:
+    """Encode typed columns into a Dataset.
+
+    ``cells`` maps column names to equal-length sequences: floats for numeric
+    columns, strings for categorical and target columns; skip columns and
+    other names are ignored. Feature columns appear in schema order; each
+    categorical expands in place into one indicator column per category.
+    With ``require_target=False`` the target may be absent; the dataset then
+    has zero-length targets.
+    """
+    _check_columns(columns)
+    target = next(c for c in columns if c.kind == "target")
+    features = [c for c in columns if c.kind in ("numeric", "categorical")]
+    missing = [c.name for c in features if c.name not in cells]
+    if require_target and target.name not in cells:
+        missing.append(target.name)
+    if missing:
+        raise SchemaError(f"no cells for column '{missing[0]}'")
+    lengths = {len(v) for v in cells.values()}
+    if len(lengths) > 1:
+        raise DimensionError(f"columns have different lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+
     blocks: list[np.ndarray] = []
     feature_names: list[str] = []
-    n_raw = 0
-    targets = np.zeros(n_rows, dtype=np.int64)
-    class_names: tuple[str, ...] = ()
-
-    for col in columns:
-        if col.kind == "skip":
-            continue
+    for col in features:
         if col.kind == "numeric":
-            n_raw += 1
-            cells = raw[col.name]
-            values = np.empty(n_rows)
-            for i, cell in enumerate(cells):
-                values[i] = _parse_numeric(cell, i + 1, col.name)
-            blocks.append(values[:, None])
+            blocks.append(np.asarray(cells[col.name], dtype=np.float64).reshape(n_rows, 1))
             feature_names.append(col.name)
-        elif col.kind == "categorical":
-            n_raw += 1
-            cells = raw[col.name]
-            if col.allowed_values is not None:
-                categories = list(col.allowed_values)
-                allowed = set(categories)
-                for i, cell in enumerate(cells):
-                    if cell not in allowed:
-                        raise LabelError(
-                            f"row {i + 1}, column '{col.name}': value '{cell}' not in allowed_values"
-                        )
-            else:
-                categories = []
-                seen = set()
-                for cell in cells:
-                    if cell not in seen:
-                        seen.add(cell)
-                        categories.append(cell)
-            index = {v: k for k, v in enumerate(categories)}
-            onehot = np.zeros((n_rows, len(categories)))
-            for i, cell in enumerate(cells):
-                onehot[i, index[cell]] = 1.0
-            blocks.append(onehot)
+        else:
+            codes, categories = _category_codes(col, cells[col.name])
+            blocks.append(np.eye(len(categories))[codes])
             feature_names.extend(f"{col.name}={v}" for v in categories)
-        elif col.kind == "target":
-            if not has_target:
-                continue
-            cells = raw[col.name]
-            if col.allowed_values is not None:
-                names = list(col.allowed_values)
-            else:
-                names = []
-                seen = set()
-                for cell in cells:
-                    if cell not in seen:
-                        seen.add(cell)
-                        names.append(cell)
-            index = {v: k for k, v in enumerate(names)}
-            for i, cell in enumerate(cells):
-                if cell not in index:
-                    raise LabelError(
-                        f"row {i + 1}, target '{col.name}': value '{cell}' not in allowed_values"
-                    )
-                targets[i] = index[cell]
-            class_names = tuple(names)
 
-    if not has_target:
-        target_col = next(c for c in columns if c.kind == "target")
-        class_names = target_col.allowed_values or ()
-        targets = np.zeros(0, dtype=np.int64)
-
-    features = np.hstack(blocks) if blocks else np.zeros((n_rows, 0))
+    if target.name in cells:
+        targets, class_names = _category_codes(target, cells[target.name])
+    else:
+        targets, class_names = np.zeros(0, dtype=np.int64), target.allowed_values or ()
     return Dataset(
-        features=DenseMatrix(features),
+        features=DenseMatrix(np.hstack(blocks) if blocks else np.zeros((n_rows, 0))),
         targets=targets,
         feature_names=tuple(feature_names),
         class_names=class_names,
-        n_raw_columns=n_raw,
+        n_raw_columns=len(features),
     )
 
 
@@ -346,7 +337,6 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     got = set(header)
     if len(got) != len(header):
         raise SchemaError(f"{path}: duplicate column in header")
-    has_target = target_name in got
     missing = expected - got
     if not require_target:
         missing.discard(target_name)
@@ -355,20 +345,17 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     extra = got - expected
     if extra:
         raise SchemaError(f"{path}: unexpected column '{sorted(extra)[0]}'")
-    if require_target and not has_target:
-        raise SchemaError(f"{path}: missing column '{target_name}'")
 
-    positions = {name: i for i, name in enumerate(header)}
-    raw: dict[str, list[str]] = {name: [] for name in header}
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: row {i + 1} has {len(row)} values, expected {len(header)}"
             )
-        for name, pos in positions.items():
-            raw[name].append(row[pos])
-
-    return _encode_columns(columns, raw, len(rows), has_target)
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    for col in columns:
+        if col.kind == "numeric":
+            cells[col.name] = _parse_numeric(cells[col.name], col.name)
+    return encode_columns(columns, cells, require_target)
 
 
 def resolved_schema(columns: list[ColumnSchema], ds: Dataset) -> list[ColumnSchema]:
@@ -432,8 +419,14 @@ def fit_scaler(x) -> ScalerParams:
     xm = as_matrix(x)
     if xm.shape[0] < 1:
         raise DimensionError("fit_scaler needs at least one row")
-    means = xm.mean(axis=0)
-    stds = np.sqrt(np.mean((xm - means) ** 2, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = xm.mean(axis=0)
+        stds = np.sqrt(np.mean((xm - means) ** 2, axis=0))
+    bad = np.flatnonzero(~np.isfinite(stds))  # a non-finite mean leaves its std non-finite
+    if bad.size:
+        raise DegenerateDataError(
+            f"fit_scaler: feature column {bad[0] + 1} is too large to standardize in float64"
+        )
     stds = np.where(stds < 1e-12, 1.0, stds)
     return ScalerParams(means=DenseVector(means), stds=DenseVector(stds))
 
@@ -445,7 +438,15 @@ def transform(params: ScalerParams, x) -> DenseMatrix:
         raise DimensionError(
             f"transform: {xm.shape[1]} columns but scaler was fit on {len(params.means)}"
         )
-    return DenseMatrix((xm - params.means.values) / params.stds.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (xm - params.means.values) / params.stds.values
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        raise DegenerateDataError(
+            f"transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
+            "is too large to standardize in float64"
+        )
+    return DenseMatrix(out)
 
 
 def inverse_transform(params: ScalerParams, x) -> DenseMatrix:

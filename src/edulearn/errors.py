@@ -45,7 +45,9 @@ class SplitError(EdulearnError):
 
 
 class DegenerateDataError(EdulearnError):
-    """A regression input is constant where variation is required."""
+    """Input values the numerics cannot use: a regression input that is
+    constant where variation is required, or features too large to
+    standardize in float64."""
 
 
 class StalledDescentError(EdulearnError):

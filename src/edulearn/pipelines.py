@@ -24,7 +24,15 @@ from .classify import (
     predict,
     train_logistic,
 )
-from .data import ColumnSchema, Dataset, ScalerParams, SplitSpec, fit_scaler, transform
+from .data import (
+    ColumnSchema,
+    Dataset,
+    ScalerParams,
+    SplitSpec,
+    encode_columns,
+    fit_scaler,
+    transform,
+)
 from .errors import DimensionError, ParameterError
 from .numcore import DenseMatrix
 
@@ -36,24 +44,22 @@ __all__ = [
     "ClassSummary",
     "CaseStudyReport",
     "FitBundle",
-    "SyntheticSource",
-    "CsvSource",
     "generate_style_sessions",
     "style_ratio_label",
     "aggregate_sessions",
     "route_learner_stage",
     "class_level_summary",
     "style_schema",
-    "fit_dataset",
+    "style_session_columns",
     "build_style_dataset",
     "collapse_score_columns",
-    "fit_style_experiment",
+    "task_features",
+    "task_dataset",
+    "fit_dataset",
     "academic_schema",
     "generate_academic_synthetic",
     "academic_bayes_predict",
     "academic_csv_rows",
-    "academic_defaults",
-    "fit_academic_case_study",
 ]
 
 
@@ -70,14 +76,6 @@ class StageLabel(Enum):
 
 
 STYLE_CLASS_NAMES = ("auditory", "visual")
-STYLE_FEATURE_NAMES = (
-    "score_diff",
-    "comprehension_time",
-    "prior_preferred_style",
-    "time_of_day",
-    "instructor_score",
-    "lesson_duration",
-)
 
 # planted style generator: assessment score means for the matching and
 # non-matching modality, and the chance that a student's past preference
@@ -284,32 +282,21 @@ def style_schema() -> list[ColumnSchema]:
     ]
 
 
+def style_session_columns(pairs: list[tuple[StyleSession, StyleLabel]]) -> dict[str, list]:
+    """The sessions' fields as columns in style_schema() order, each label as
+    its class name."""
+    *fields, target = (c.name for c in style_schema())
+    columns = {name: [getattr(session, name) for session, _ in pairs] for name in fields}
+    columns[target] = [STYLE_CLASS_NAMES[label] for _, label in pairs]
+    return columns
+
+
 def build_style_dataset(pairs: list[tuple[StyleSession, StyleLabel]]) -> Dataset:
     """Six-feature design matrix: the visual/auditory scores collapse to
     their difference, keeping one coefficient slot per predictor."""
     if not pairs:
         raise ParameterError("build_style_dataset needs at least one session")
-    rows = np.array(
-        [
-            [
-                s.visual_score - s.auditory_score,
-                s.comprehension_time,
-                float(s.prior_preferred_style),
-                s.time_of_day,
-                s.instructor_score,
-                s.lesson_duration,
-            ]
-            for s, _ in pairs
-        ]
-    )
-    targets = np.array([int(label) for _, label in pairs], dtype=np.int64)
-    return Dataset(
-        features=DenseMatrix(rows),
-        targets=targets,
-        feature_names=STYLE_FEATURE_NAMES,
-        class_names=STYLE_CLASS_NAMES,
-        n_raw_columns=6,
-    )
+    return task_features("style", encode_columns(style_schema(), style_session_columns(pairs)))
 
 
 def collapse_score_columns(ds: Dataset) -> Dataset:
@@ -334,6 +321,12 @@ def collapse_score_columns(ds: Dataset) -> Dataset:
         class_names=ds.class_names,
         n_raw_columns=len(new_names),
     )
+
+
+def task_features(task: str, ds: Dataset) -> Dataset:
+    """The model features of an encoded ``task`` dataset: the style task
+    collapses its two assessment scores to their difference."""
+    return collapse_score_columns(ds) if task == "style" else ds
 
 
 def fit_dataset(
@@ -371,15 +364,6 @@ def fit_dataset(
         schema=tuple(schema) if schema is not None else None,
     )
     return report, bundle
-
-
-def fit_style_experiment(
-    gen: StyleGenConfig, opt: OptimizerConfig, split_spec: SplitSpec
-) -> tuple[CaseStudyReport, FitBundle]:
-    """Generate sessions, build the 6-feature matrix, split, scale, train a
-    binary logistic model, and report train/test metrics."""
-    ds = build_style_dataset(generate_style_sessions(gen))
-    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
 
 
 # ---------------------------------------------------------------------------
@@ -594,26 +578,8 @@ def _academic_sample(n_rows: int, seed: int):
 def generate_academic_synthetic(n_rows: int, seed: int) -> Dataset:
     """Desk-scale synthetic stand-in for the academic-risk dataset."""
     num, cat, _, targets = _academic_sample(n_rows, seed)
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    for name in _COLUMN_ORDER:
-        if name in _CATEGORIES:
-            values = _CATEGORIES[name]
-            onehot = np.zeros((n_rows, len(values)))
-            for k, v in enumerate(values):
-                onehot[:, k] = cat[name] == v
-            blocks.append(onehot)
-            names.extend(f"{name}={v}" for v in values)
-        else:
-            blocks.append(num[name][:, None])
-            names.append(name)
-    return Dataset(
-        features=DenseMatrix(np.hstack(blocks)),
-        targets=targets,
-        feature_names=tuple(names),
-        class_names=ACADEMIC_CLASS_NAMES,
-        n_raw_columns=len(_COLUMN_ORDER),
-    )
+    target = np.asarray(ACADEMIC_CLASS_NAMES, dtype=object)[targets]
+    return encode_columns(academic_schema(), {**num, **cat, "Target": target})
 
 
 def academic_bayes_predict(n_rows: int, seed: int) -> np.ndarray:
@@ -629,38 +595,12 @@ def academic_csv_rows(n_rows: int, seed: int) -> tuple[list[str], list[list[str]
     Floats are written with repr so a load round-trips bit-exactly.
     """
     num, cat, _, targets = _academic_sample(n_rows, seed)
-    header = list(_COLUMN_ORDER) + ["Target"]
-    rows = []
-    for i in range(n_rows):
-        row = []
-        for name in _COLUMN_ORDER:
-            if name in _CATEGORIES:
-                row.append(str(cat[name][i]))
-            else:
-                row.append(repr(float(num[name][i])))
-        row.append(ACADEMIC_CLASS_NAMES[targets[i]])
-        rows.append(row)
-    return header, rows
-
-
-@dataclass(frozen=True)
-class SyntheticSource:
-    """Use the planted synthetic generator as the case-study data source."""
-
-    n_rows: int = 5000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class CsvSource:
-    """Use a local CSV (plus schema document) as the case-study data source.
-
-    With ``schema_path=None`` the packaged schema for the public academic
-    success dataset is used.
-    """
-
-    csv_path: str
-    schema_path: str | None = None
+    columns = [
+        list(map(repr, num[name].tolist())) if name in num else cat[name].tolist()
+        for name in _COLUMN_ORDER
+    ]
+    columns.append([ACADEMIC_CLASS_NAMES[t] for t in targets.tolist()])
+    return list(_COLUMN_ORDER) + ["Target"], [list(row) for row in zip(*columns)]
 
 
 def packaged_academic_schema() -> list[ColumnSchema]:
@@ -671,45 +611,31 @@ def packaged_academic_schema() -> list[ColumnSchema]:
         return data_mod.read_schema(path)
 
 
-def academic_defaults(solver: str) -> OptimizerConfig:
-    """Case-study defaults: L-BFGS capped at 1000 iterations, or SGD with
-    log loss at a constant 0.01 rate for 100 epochs."""
-    if solver == "sgd":
-        return OptimizerConfig(solver="sgd", learning_rate=0.01, epochs=100)
-    if solver == "lbfgs":
-        return OptimizerConfig(solver="lbfgs", max_iter=1000)
-    if solver == "gd":
-        return OptimizerConfig(solver="gd", max_iter=1000)
-    raise ParameterError(f"unknown solver '{solver}'")
+# synthetic sizes when none is given: students (style) or rows (academic)
+DEFAULT_SIZES = {"style": 200, "academic": 5000}
 
 
-def fit_academic_case_study(
-    source,
-    solver: str,
-    split_spec: SplitSpec,
-    opt: OptimizerConfig | None = None,
-) -> tuple[CaseStudyReport, FitBundle]:
-    """Ingest, 70:30 split (per split_spec), train-fit scaling, train with the
-    named solver, and report metrics plus the training class distribution."""
-    if opt is None:
-        opt = academic_defaults(solver)
-    if opt.solver != solver:
-        raise ParameterError(f"solver argument '{solver}' does not match config '{opt.solver}'")
-    if isinstance(source, CsvSource):
-        schema = (
-            data_mod.read_schema(source.schema_path)
-            if source.schema_path is not None
-            else packaged_academic_schema()
-        )
-        ds = data_mod.load_csv(source.csv_path, schema)
-        # pin observed categorical/class orders so the saved model can encode
-        # future prediction inputs identically
-        schema = data_mod.resolved_schema(schema, ds)
-        data_source = "external"
-    elif isinstance(source, SyntheticSource):
-        schema = academic_schema()
-        ds = generate_academic_synthetic(source.n_rows, source.seed)
-        data_source = "synthetic"
+def task_dataset(
+    task: str, csv_path: str | None, schema_path: str | None, n: int | None, seed: int
+) -> tuple[Dataset, list[ColumnSchema], str]:
+    """The model features, the schema to save with the model, and the data
+    source ("synthetic" or "external") of one training run.
+
+    Without ``csv_path`` the task's generator draws ``n`` students or rows
+    (default DEFAULT_SIZES) from ``seed``. A CSV is read against the schema
+    document at ``schema_path``, or else the task's own schema (the packaged
+    public-dataset schema for academic). The saved schema pins the value
+    orders the data showed, so later prediction inputs encode the same way.
+    """
+    n = DEFAULT_SIZES[task] if n is None else n
+    if csv_path is None:
+        if task == "style":
+            sessions = generate_style_sessions(StyleGenConfig(n_students=n, seed=seed))
+            return build_style_dataset(sessions), style_schema(), "synthetic"
+        return generate_academic_synthetic(n, seed), academic_schema(), "synthetic"
+    if schema_path is not None:
+        columns = data_mod.read_schema(schema_path)
     else:
-        raise ParameterError(f"unsupported source type {type(source).__name__}")
-    return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
+        columns = style_schema() if task == "style" else packaged_academic_schema()
+    raw = data_mod.load_csv(csv_path, columns)
+    return task_features(task, raw), data_mod.resolved_schema(columns, raw), "external"

@@ -34,25 +34,35 @@ from edulearn.classify import (
 from edulearn.data import SplitSpec, fit_scaler, split, transform
 from edulearn.numcore import DenseMatrix, DenseVector
 from edulearn.pipelines import (
-    CsvSource,
     StageLabel,
     StyleGenConfig,
     StyleLabel,
-    SyntheticSource,
     academic_bayes_predict,
     build_style_dataset,
-    fit_academic_case_study,
-    fit_style_experiment,
+    fit_dataset,
     generate_academic_synthetic,
     generate_style_sessions,
     route_learner_stage,
     style_ratio_label,
+    style_schema,
+    task_dataset,
 )
 from edulearn.regress import fit_multiple, fit_simple, r_squared
 
 
 def _report(n, message):
     print(f"\nACCEPTANCE {n} PASS: {message}")
+
+
+def _fit_academic(csv_path, n, seed, solver, split_spec):
+    ds, schema, data_source = task_dataset("academic", csv_path, None, n, seed)
+    opt = OptimizerConfig(solver=solver)
+    return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
+
+
+def _fit_style(gen, opt, split_spec):
+    ds = build_style_dataset(generate_style_sessions(gen))
+    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
 
 
 def _central_diff(f, theta, h=1e-6):
@@ -214,9 +224,9 @@ def test_criterion_5_paper_case_study_external():
             "(set EDULEARN_ACADEMIC_CSV to run the published-accuracy bands)"
         )
     split_spec = SplitSpec(0.7, seed=0)
-    lb = fit_academic_case_study(CsvSource(path), "lbfgs", split_spec)[0]
+    lb = _fit_academic(path, None, 0, "lbfgs", split_spec)[0]
     assert 0.8589 <= lb.test_metrics.accuracy <= 0.8889, lb.test_metrics.accuracy
-    sg = fit_academic_case_study(CsvSource(path), "sgd", split_spec)[0]
+    sg = _fit_academic(path, None, 0, "sgd", split_spec)[0]
     assert 0.8110 <= sg.test_metrics.accuracy <= 0.8510, sg.test_metrics.accuracy
     _report(
         5,
@@ -236,11 +246,11 @@ def test_criterion_6_synthetic_case_study_vs_bayes():
     bayes_acc = float((bayes[test_idx] == ds.targets[test_idx]).mean())
 
     split_spec = SplitSpec(0.7, seed=split_seed)
-    lb = fit_academic_case_study(SyntheticSource(n, gen_seed), "lbfgs", split_spec)[0]
+    lb = _fit_academic(None, n, gen_seed, "lbfgs", split_spec)[0]
     lb_gap = abs(lb.test_metrics.accuracy - bayes_acc)
     assert lb_gap <= 0.02, (lb.test_metrics.accuracy, bayes_acc)
 
-    sg = fit_academic_case_study(SyntheticSource(n, gen_seed), "sgd", split_spec)[0]
+    sg = _fit_academic(None, n, gen_seed, "sgd", split_spec)[0]
     sg_gap = abs(sg.test_metrics.accuracy - bayes_acc)
     assert sg_gap <= 0.04, (sg.test_metrics.accuracy, bayes_acc)
 
@@ -255,7 +265,7 @@ def test_criterion_6_synthetic_case_study_vs_bayes():
 
 def test_criterion_7_style_pipeline():
     start = time.monotonic()
-    noiseless = fit_style_experiment(
+    noiseless = _fit_style(
         StyleGenConfig(n_students=200, sessions_per_student=3, visual_fraction=0.5,
                        noise_std=0.0, seed=5),
         OptimizerConfig(solver="lbfgs", l2=0.1),
@@ -266,7 +276,7 @@ def test_criterion_7_style_pipeline():
     gen = StyleGenConfig(n_students=2000, sessions_per_student=1, visual_fraction=0.5,
                          noise_std=10.0, seed=17)
     split_spec = SplitSpec(0.7, seed=23)
-    noisy = fit_style_experiment(gen, OptimizerConfig(solver="lbfgs", l2=0.01), split_spec)[0]
+    noisy = _fit_style(gen, OptimizerConfig(solver="lbfgs", l2=0.01), split_spec)[0]
 
     # brute-force threshold oracle on the score difference, tuned on train rows
     ds = build_style_dataset(generate_style_sessions(gen))

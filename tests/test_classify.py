@@ -161,15 +161,17 @@ def test_fit_sgd_zero_epochs():
     assert np.all(model.weights.values == 0.0)
 
 
-def test_fit_sgd_divergence_names_epoch_and_rate():
+# at 1e200 the binary weights overflow to inf within the first epoch
+@pytest.mark.parametrize("learning_rate", [1.0, 1e200])
+def test_fit_sgd_divergence_names_epoch_and_rate(learning_rate):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(20, 2))
     y = rng.integers(0, 2, 20)
-    cfg = OptimizerConfig(solver="sgd", learning_rate=1.0, l2=5.0, epochs=50, seed=0)
+    cfg = OptimizerConfig(solver="sgd", learning_rate=learning_rate, l2=5.0, epochs=50, seed=0)
     with pytest.raises(DivergenceError) as excinfo:
         fit_sgd(x, y, cfg)
     assert excinfo.value.epoch is not None
-    assert excinfo.value.learning_rate == 1.0
+    assert excinfo.value.learning_rate == learning_rate
 
 
 def test_fit_sgd_multinomial_runs():

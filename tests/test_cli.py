@@ -428,3 +428,58 @@ def test_schema_file_and_generate_write_the_same_bytes(tmp_path):
     write_schema(tmp_path / "s.json", columns)
     text = (tmp_path / "s.json").read_text(encoding="utf-8")
     assert text == dumps_canonical(schema_to_doc(columns)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "task, n, solver_args",
+    [
+        ("style", "30", ["--solver", "lbfgs"]),
+        ("style", "30", ["--solver", "sgd", "--epochs", "3"]),
+        ("academic", "300", ["--solver", "lbfgs"]),
+        ("academic", "300", ["--solver", "sgd", "--epochs", "3"]),
+    ],
+    ids=["style-lbfgs", "style-sgd", "academic-lbfgs", "academic-sgd"],
+)
+def test_synthetic_train_equals_generate_then_train(tmp_path, monkeypatch, task, n, solver_args):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EDULEARN_SEED", raising=False)
+    train = ["train", "--task", task, *solver_args, "--seed", "3", "--json"]
+    assert main([*train, "--n", n, "--out", "a_"]) == 0
+    assert main(["generate", "--kind", task, "--n", n, "--seed", "3", "--out", "g_"]) == 0
+    assert main([*train, "--input", "g_data.csv", "--schema", "g_schema.json", "--out", "b_"]) == 0
+    assert (tmp_path / "a_model.json").read_bytes() == (tmp_path / "b_model.json").read_bytes()
+    a = (tmp_path / "a_report.json").read_text().splitlines()
+    b = (tmp_path / "b_report.json").read_text().splitlines()
+    assert len(a) == len(b)
+    assert [(x, y) for x, y in zip(a, b) if x != y] == [
+        ('  "data_source": "synthetic",', '  "data_source": "external",')
+    ]
+
+
+def _set_cells(src, dst, column, values):
+    lines = src.read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    for row, value in values.items():
+        cells = lines[row].split(",")
+        cells[j] = value
+        lines[row] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_features_too_large_to_standardize_exit_1(tmp_path):
+    r = run_cli(["generate", "--kind", "style", "--n", "50", "--seed", "1", "--out", "s_"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    clean = tmp_path / "s_data.csv"
+    _set_cells(clean, tmp_path / "t_data.csv", "comprehension_time", {1: "1e308", 2: "-1e308"})
+    _set_cells(clean, tmp_path / "p_data.csv", "prior_preferred_style", {3: "1e308"})
+    r = run_cli(["train", "--task", "style", "--input", "s_data.csv", "--json", "--out", "m_"],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    for argv in (
+        ["train", "--task", "style", "--input", "t_data.csv", "--out", "t_"],
+        ["predict", "--model", "m_model.json", "--input", "p_data.csv", "--out", "p_"],
+    ):
+        r = run_cli(argv, tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error[DegenerateDataError]"), r.stderr
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr

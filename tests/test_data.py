@@ -8,6 +8,7 @@ from edulearn.data import (
     Dataset,
     ScalerParams,
     SplitSpec,
+    encode_columns,
     fit_scaler,
     inverse_transform,
     load_csv,
@@ -18,6 +19,7 @@ from edulearn.data import (
     write_schema,
 )
 from edulearn.errors import (
+    DimensionError,
     LabelError,
     ParameterError,
     ParseError,
@@ -109,6 +111,44 @@ def test_load_csv_target_outside_allowed(tmp_path):
     path = _write(tmp_path, "d.csv", "x,Target\n1.0,C\n")
     with pytest.raises(LabelError, match="'C'"):
         load_csv(path, BASIC_SCHEMA)
+    path = _write(tmp_path, "d.csv", "x,Target\n1.0,A\n2.0,A\x00\n")
+    with pytest.raises(LabelError, match="row 2"):
+        load_csv(path, BASIC_SCHEMA)
+
+
+# the csv module passes a NUL through; 'yes\x00' is not 'yes'
+@pytest.mark.parametrize("cell", ["maybe", "yes\x00"], ids=["unknown", "trailing-nul"])
+def test_load_csv_categorical_outside_allowed(tmp_path, cell):
+    schema = [
+        ColumnSchema("c", "categorical", allowed_values=("yes", "no")),
+        ColumnSchema("Target", "target", allowed_values=("A", "B")),
+    ]
+    path = _write(tmp_path, "d.csv", f"c,Target\nno,A\n{cell},B\n")
+    with pytest.raises(LabelError, match="row 2, column 'c'"):
+        load_csv(path, schema)
+
+
+def test_encode_columns_matches_load_csv(tmp_path):
+    schema = [
+        ColumnSchema("id", "skip"),
+        ColumnSchema("c", "categorical"),
+        ColumnSchema("x", "numeric"),
+        ColumnSchema("Target", "target"),
+    ]
+    path = _write(tmp_path, "d.csv", "id,c,x,Target\nr1,red,1.5,yes\nr2,blue,2,no\nr3,red,-3,yes\n")
+    cells = {"c": ["red", "blue", "red"], "x": [1.5, 2.0, -3.0], "Target": ["yes", "no", "yes"]}
+    loaded, encoded = load_csv(path, schema), encode_columns(schema, cells)
+    assert encoded.feature_names == loaded.feature_names == ("c=red", "c=blue", "x")
+    assert np.array_equal(encoded.features.values, loaded.features.values)
+    assert encoded.targets.tolist() == loaded.targets.tolist() == [0, 1, 0]
+    assert encoded.class_names == loaded.class_names == ("yes", "no")
+    assert encoded.n_raw_columns == loaded.n_raw_columns == 2
+    with pytest.raises(SchemaError, match="'x'"):
+        encode_columns(schema, {"c": ["red"], "Target": ["yes"]})
+    with pytest.raises(DimensionError):
+        encode_columns(schema, {**cells, "x": [1.0]})
+    unlabeled = encode_columns(schema, {"c": ["red"], "x": [1.0]}, require_target=False)
+    assert unlabeled.targets.size == 0 and unlabeled.features.rows == 1
 
 
 def test_load_csv_skip_column_excluded(tmp_path):

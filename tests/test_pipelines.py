@@ -9,12 +9,10 @@ from edulearn.errors import ParameterError
 from edulearn.pipelines import (
     ACADEMIC_CLASS_NAMES,
     ACADEMIC_PRIOR,
-    CsvSource,
     StageLabel,
     StyleGenConfig,
     StyleLabel,
     StyleSession,
-    SyntheticSource,
     academic_bayes_predict,
     academic_csv_rows,
     academic_schema,
@@ -22,14 +20,24 @@ from edulearn.pipelines import (
     build_style_dataset,
     class_level_summary,
     collapse_score_columns,
-    fit_academic_case_study,
-    fit_style_experiment,
+    fit_dataset,
     generate_academic_synthetic,
     generate_style_sessions,
     route_learner_stage,
     style_ratio_label,
     style_schema,
+    task_dataset,
 )
+
+
+def _fit_style(gen, opt, split_spec):
+    ds = build_style_dataset(generate_style_sessions(gen))
+    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
+
+
+def _fit_academic(csv_path, schema_path, n, seed, opt, split_spec):
+    ds, schema, data_source = task_dataset("academic", csv_path, schema_path, n, seed)
+    return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
 
 
 def test_generate_style_noiseless_scores_exact():
@@ -163,7 +171,7 @@ def test_style_csv_round_trip_matches_direct(tmp_path):
 
 
 def test_run_style_experiment_noiseless_is_perfect():
-    report = fit_style_experiment(
+    report = _fit_style(
         StyleGenConfig(n_students=200, sessions_per_student=3, noise_std=0.0, seed=5),
         OptimizerConfig(solver="lbfgs", l2=0.1),
         SplitSpec(0.7, seed=9),
@@ -174,7 +182,7 @@ def test_run_style_experiment_noiseless_is_perfect():
 
 def test_run_style_experiment_noiseless_other_seeds():
     for seed in (0, 1, 2):
-        report = fit_style_experiment(
+        report = _fit_style(
             StyleGenConfig(n_students=100, sessions_per_student=2, noise_std=0.0, seed=seed),
             OptimizerConfig(solver="lbfgs", l2=0.1),
             SplitSpec(0.7, seed=50 + seed),
@@ -186,7 +194,7 @@ def test_run_style_experiment_deterministic():
     gen = StyleGenConfig(n_students=60, seed=4)
     opt = OptimizerConfig(solver="lbfgs", l2=0.1)
     split = SplitSpec(0.7, seed=8)
-    assert fit_style_experiment(gen, opt, split)[0] == fit_style_experiment(gen, opt, split)[0]
+    assert _fit_style(gen, opt, split)[0] == _fit_style(gen, opt, split)[0]
 
 
 def test_packaged_external_schema_parses():
@@ -260,8 +268,8 @@ def test_academic_bayes_predict_aligns():
 
 
 def test_run_academic_case_study_synthetic():
-    report = fit_academic_case_study(
-        SyntheticSource(n_rows=600, seed=1), "lbfgs", SplitSpec(0.7, seed=2)
+    report = _fit_academic(
+        None, None, 600, 1, OptimizerConfig(solver="lbfgs"), SplitSpec(0.7, seed=2)
     )[0]
     assert report.data_source == "synthetic"
     assert report.solver == "lbfgs"
@@ -278,29 +286,19 @@ def test_run_academic_case_study_external_csv(tmp_path):
     csv_path.write_text(_csv_text(header, rows), encoding="utf-8")
     schema_path = tmp_path / "a.schema.json"
     write_schema(schema_path, academic_schema())
-    report = fit_academic_case_study(
-        CsvSource(str(csv_path), str(schema_path)), "lbfgs", SplitSpec(0.7, seed=2)
+    report = _fit_academic(
+        str(csv_path), str(schema_path), None, 0, OptimizerConfig(solver="lbfgs"),
+        SplitSpec(0.7, seed=2),
     )[0]
     assert report.data_source == "external"
 
 
-def test_run_academic_case_study_solver_mismatch():
-    with pytest.raises(ParameterError):
-        fit_academic_case_study(
-            SyntheticSource(n_rows=100, seed=0),
-            "sgd",
-            SplitSpec(0.7, seed=0),
-            OptimizerConfig(solver="lbfgs"),
-        )[0]
-
-
 def test_case_study_reports_identical_across_runs():
-    source = SyntheticSource(n_rows=400, seed=3)
     split = SplitSpec(0.7, seed=4)
-    r1 = fit_academic_case_study(source, "sgd", split,
-                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))[0]
-    r2 = fit_academic_case_study(source, "sgd", split,
-                                 OptimizerConfig(solver="sgd", epochs=5, seed=3))[0]
+    r1 = _fit_academic(None, None, 400, 3, OptimizerConfig(solver="sgd", epochs=5, seed=3),
+                       split)[0]
+    r2 = _fit_academic(None, None, 400, 3, OptimizerConfig(solver="sgd", epochs=5, seed=3),
+                       split)[0]
     assert r1 == r2
 
 
