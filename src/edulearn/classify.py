@@ -75,6 +75,9 @@ class OptimizerConfig:
             raise ParameterError(f"unknown solver '{self.solver}', expected one of {SOLVERS}")
         if self.max_iter < 0 or self.epochs < 0:
             raise ParameterError("max_iter and epochs must be non-negative")
+        for name in ("learning_rate", "tol", "l2", "l1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.tol <= 0:

@@ -14,9 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from importlib import resources
-
-import jsonschema
 
 from . import data as data_mod
 from . import pipelines
@@ -96,11 +93,6 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _report_schema() -> dict:
-    ref = resources.files("edulearn").joinpath("report_schema.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +290,7 @@ def cmd_train(args, seed: int) -> int:
     report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task, schema)
 
     doc = report_to_doc(report, args.task, bundle.class_names, args.train_fraction)
-    report_text = dumps_canonical(doc) + "\n"
-    jsonschema.validate(json.loads(report_text), _report_schema())
-    atomic_write_text(args.out + OUTPUT_REPORT, report_text)
+    atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
     atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
     if not args.json:
         print(doc["text_block"])

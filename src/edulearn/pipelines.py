@@ -496,6 +496,8 @@ def _academic_sample(n_rows: int, seed: int):
     """
     if n_rows < 10:
         raise ParameterError(f"need at least 10 rows, got {n_rows}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_rows
     s = rng.standard_normal(n)

@@ -1,7 +1,14 @@
-"""Shared helpers for the tests that start ``python -m edulearn`` as a child process."""
+"""Shared helpers for the tests that start ``python -m edulearn`` as a child
+process, and the report-schema check every test gets."""
 
+import functools
+import json
 import os
+from importlib import resources
 from pathlib import Path
+
+import jsonschema
+import pytest
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,3 +28,24 @@ def cli_env(env_extra=None):
     if env_extra:
         env.update(env_extra)
     return env
+
+
+@functools.cache
+def report_schema() -> dict:
+    """``report_schema.json`` as shipped in the edulearn package."""
+    ref = resources.files("edulearn").joinpath("report_schema.json")
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(autouse=True)
+def _reports_match_the_schema(request):
+    """After each test that uses ``tmp_path``, every ``*report.json`` left
+    under it must validate against ``report_schema.json``. The CLI does not
+    check its own report, so this is where a schema break shows."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")  # set up now, so it is torn down after this
+    yield
+    for path in sorted(tmp_path.rglob("*report.json")):
+        jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), report_schema())

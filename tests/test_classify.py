@@ -366,6 +366,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.0)
     with pytest.raises(ParameterError):
         OptimizerConfig(tol=-1.0)
+    for name in ("learning_rate", "tol", "l2", "l1"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=name):
+                OptimizerConfig(solver="sgd", **{name: value})
     cfg = OptimizerConfig(solver="sgd", l1=0.5)
     assert cfg.l1 == 0.5
 

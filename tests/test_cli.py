@@ -1,14 +1,20 @@
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
-from conftest import cli_env
+from conftest import cli_env, report_schema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edulearn import cli
+from edulearn import cli, pipelines
+from edulearn.classify import OptimizerConfig, compute_metrics
+from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, format_float, main, model_from_doc
 
 
@@ -63,11 +69,7 @@ def test_train_writes_valid_report_and_model(tmp_path):
     assert report["task"] == "academic"
     assert report["data_source"] == "synthetic"
     assert set(report["class_distribution"]) == {"Graduate", "Dropout", "Enrolled"}
-
-    import jsonschema
-    from edulearn.cli import _report_schema
-
-    jsonschema.validate(report, _report_schema())
+    jsonschema.validate(report, report_schema())
 
     model_doc = json.loads((tmp_path / "t_model.json").read_text())
     model, scaler, columns, task, feature_names = model_from_doc(model_doc)
@@ -483,3 +485,92 @@ def test_features_too_large_to_standardize_exit_1(tmp_path):
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error[DegenerateDataError]"), r.stderr
         assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
+
+
+def test_cli_import_leaves_jsonschema_out():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, edulearn.cli; print('jsonschema' in sys.modules)"],
+        env=cli_env(), capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, solver", [("--tol", "lbfgs"), ("--l2", "lbfgs"), ("--l1", "sgd"), ("--learning-rate", "sgd")]
+)
+def test_train_non_finite_optimizer_value_exits_2(tmp_path, flag, solver, value):
+    r = run_cli(["train", "--task", "academic", "--n", "300", "--seed", "1", "--solver", solver,
+                 flag, value, "--out", "n_"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error[ParameterError]"), r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_academic_negative_seed_exits_2(tmp_path):
+    for argv, env in (
+        (["--seed", "-1"], None),
+        ([], {"EDULEARN_SEED": "-1"}),
+    ):
+        r = run_cli(["generate", "--kind", "academic", "--n", "300", *argv, "--out", "z_"],
+                    tmp_path, env_extra=env)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error[ParameterError]"), r.stderr
+        assert "Traceback" not in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+_finite_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_any_float = st.one_of(_finite_positive, st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+
+
+@st.composite
+def _case_study_reports(draw):
+    """A CaseStudyReport from any OptimizerConfig that constructs, plus
+    class names and label vectors for its train and test metrics."""
+    solver = draw(st.sampled_from(["lbfgs", "sgd", "gd"]))
+    try:
+        opt = OptimizerConfig(
+            solver=solver,
+            max_iter=draw(st.integers(0, 10**6)),
+            epochs=draw(st.integers(0, 10**6)),
+            learning_rate=draw(_any_float),
+            tol=draw(_any_float),
+            l2=draw(st.one_of(st.just(0.0), _any_float)),
+            l1=draw(st.one_of(st.just(0.0), _any_float)) if solver == "sgd" else 0.0,
+            lbfgs_memory=draw(st.integers(1, 100)),
+            seed=draw(st.integers(0, 2**63 - 1)),
+        )
+    except ParameterError:
+        opt = OptimizerConfig(solver=solver)
+    names = draw(st.lists(st.text(max_size=12), min_size=2, max_size=4, unique=True))
+    k = len(names)
+
+    def metrics():
+        n = draw(st.integers(1, 30))
+        labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+        return compute_metrics(draw(labels), draw(labels), k)
+
+    report = pipelines.CaseStudyReport(
+        solver=solver,
+        train_metrics=metrics(),
+        test_metrics=metrics(),
+        class_distribution={name: draw(st.integers(0, 10**6)) for name in names},
+        config_echo=opt,
+        data_source=draw(st.sampled_from(["external", "synthetic"])),
+    )
+    return report, names
+
+
+@settings(deadline=None)
+@given(
+    case=_case_study_reports(),
+    task=st.sampled_from(["style", "academic"]),
+    train_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_report_doc_matches_the_schema(case, task, train_fraction):
+    report, names = case
+    doc = cli.report_to_doc(report, task, names, train_fraction)
+    jsonschema.validate(json.loads(dumps_canonical(doc)), report_schema())
