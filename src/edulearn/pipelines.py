@@ -10,6 +10,7 @@ real classrooms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from importlib import resources
@@ -128,8 +129,8 @@ class StyleGenConfig:
             raise ParameterError("counts must be >= 1")
         if not (0.0 <= self.visual_fraction <= 1.0):
             raise ParameterError("visual_fraction must lie in [0, 1]")
-        if self.noise_std < 0.0:
-            raise ParameterError("noise_std must be >= 0")
+        if not (self.noise_std >= 0.0 and math.isfinite(self.noise_std)):
+            raise ParameterError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise ParameterError("seed must be non-negative")
 
@@ -319,7 +320,7 @@ def collapse_score_columns(ds: Dataset) -> Dataset:
         targets=ds.targets,
         feature_names=tuple(new_names),
         class_names=ds.class_names,
-        n_raw_columns=len(new_names),
+        columns=ds.columns,
     )
 
 
@@ -335,10 +336,10 @@ def fit_dataset(
     split_spec: SplitSpec,
     data_source: str,
     task: str,
-    schema: list[ColumnSchema] | None,
 ) -> tuple[CaseStudyReport, FitBundle]:
     """Shared split -> train-fit scaling -> train -> metrics path behind both
-    experiments; returns the report plus everything needed to serialize."""
+    experiments; returns the report plus everything needed to serialize,
+    with ``ds.columns`` as the schema to save."""
     train, test = data_mod.split(ds, split_spec)
     scaler = fit_scaler(train.features)
     x_train = transform(scaler, train.features)
@@ -361,7 +362,7 @@ def fit_dataset(
         feature_names=ds.feature_names,
         class_names=ds.class_names,
         task=task,
-        schema=tuple(schema) if schema is not None else None,
+        schema=ds.columns,
     )
     return report, bundle
 
@@ -619,25 +620,23 @@ DEFAULT_SIZES = {"style": 200, "academic": 5000}
 
 def task_dataset(
     task: str, csv_path: str | None, schema_path: str | None, n: int | None, seed: int
-) -> tuple[Dataset, list[ColumnSchema], str]:
-    """The model features, the schema to save with the model, and the data
-    source ("synthetic" or "external") of one training run.
+) -> tuple[Dataset, str]:
+    """The model features and the data source ("synthetic" or "external") of
+    one training run.
 
     Without ``csv_path`` the task's generator draws ``n`` students or rows
     (default DEFAULT_SIZES) from ``seed``. A CSV is read against the schema
     document at ``schema_path``, or else the task's own schema (the packaged
-    public-dataset schema for academic). The saved schema pins the value
-    orders the data showed, so later prediction inputs encode the same way.
+    public-dataset schema for academic).
     """
     n = DEFAULT_SIZES[task] if n is None else n
     if csv_path is None:
         if task == "style":
             sessions = generate_style_sessions(StyleGenConfig(n_students=n, seed=seed))
-            return build_style_dataset(sessions), style_schema(), "synthetic"
-        return generate_academic_synthetic(n, seed), academic_schema(), "synthetic"
+            return build_style_dataset(sessions), "synthetic"
+        return generate_academic_synthetic(n, seed), "synthetic"
     if schema_path is not None:
         columns = data_mod.read_schema(schema_path)
     else:
         columns = style_schema() if task == "style" else packaged_academic_schema()
-    raw = data_mod.load_csv(csv_path, columns)
-    return task_features(task, raw), data_mod.resolved_schema(columns, raw), "external"
+    return task_features(task, data_mod.load_csv(csv_path, columns)), "external"

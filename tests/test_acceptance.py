@@ -44,7 +44,6 @@ from edulearn.pipelines import (
     generate_style_sessions,
     route_learner_stage,
     style_ratio_label,
-    style_schema,
     task_dataset,
 )
 from edulearn.regress import fit_multiple, fit_simple, r_squared
@@ -55,14 +54,14 @@ def _report(n, message):
 
 
 def _fit_academic(csv_path, n, seed, solver, split_spec):
-    ds, schema, data_source = task_dataset("academic", csv_path, None, n, seed)
+    ds, data_source = task_dataset("academic", csv_path, None, n, seed)
     opt = OptimizerConfig(solver=solver)
-    return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
+    return fit_dataset(ds, opt, split_spec, data_source, "academic")
 
 
 def _fit_style(gen, opt, split_spec):
     ds = build_style_dataset(generate_style_sessions(gen))
-    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
+    return fit_dataset(ds, opt, split_spec, "synthetic", "style")
 
 
 def _central_diff(f, theta, h=1e-6):

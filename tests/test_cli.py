@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,13 +11,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import cli_env, report_schema
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edulearn import cli, pipelines
-from edulearn.classify import OptimizerConfig, compute_metrics
+from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics
+from edulearn.data import ScalerParams
 from edulearn.errors import ParameterError
-from edulearn.cli import dumps_canonical, format_float, main, model_from_doc
+from edulearn.cli import dumps_canonical, main, model_from_doc
+from edulearn.numcore import DenseMatrix, DenseVector
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -28,15 +32,73 @@ def run_cli(args, cwd, env_extra=None):
     )
 
 
-def test_format_float_round_trips():
-    for x in (0.1, 1.0 / 3.0, 1e-300, 123456.789, -0.0):
-        assert float(format_float(x)) == x
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_finite_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _model_parts(draw):
+    """Weights, intercepts, scaler means and scaler stds of a binary (one
+    weight row) or three-class model: any finite values, positive stds."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.sampled_from([1, 3]))
+    row = st.lists(_finite, min_size=d, max_size=d)
+    return (
+        draw(st.lists(row, min_size=k, max_size=k)),
+        draw(st.lists(_finite, min_size=k, max_size=k)),
+        draw(row),
+        draw(st.lists(_finite_positive, min_size=d, max_size=d)),
+    )
+
+
+@settings(deadline=None)
+@given(_model_parts())
+@example(([[0.1, 1.0 / 3.0, 1e-300, 123456.789, -0.0]], [-0.0],
+          [-0.0, 0.1, 1.0 / 3.0, 1e-300, 123456.789], [0.1, 1.0 / 3.0, 1e-300, 123456.789, 1.0]))
+@example(([[5e-324, -2.2250738585072014e-308, 1e308], [3.0, -0.0, 2.0**53],
+           [1e16, -1.7976931348623157e308, -7.0]], [-0.0, 1e308, 42.0],
+          [5e-324, -1e308, 0.0], [5e-324, 1e308, 2.0]))
+def test_model_doc_round_trips_exactly(parts):
+    weights, intercepts, means, stds = parts
+    class_names = ("a", "b") if len(intercepts) == 1 else ("a", "b", "c")
+    model = LogisticModel(DenseMatrix(weights), DenseVector(intercepts), class_names, True, 1)
+    scaler = ScalerParams(DenseVector(means), DenseVector(stds))
+    features = tuple(f"f{j}" for j in range(len(means)))
+    bundle = pipelines.FitBundle(model, scaler, features, class_names, "academic", None)
+    text = dumps_canonical(cli.model_to_doc(bundle, OptimizerConfig()))
+    back, back_scaler, _, _, back_features = model_from_doc(json.loads(text))
+    assert back_features == features
+    for a, b in (
+        (model.weights, back.weights),
+        (model.intercepts, back.intercepts),
+        (scaler.means, back_scaler.means),
+        (scaler.stds, back_scaler.stds),
+    ):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+_csv_cell = st.one_of(st.text(max_size=6), st.text(alphabet='ab ,"\r\n', max_size=4))
+
+
+@given(st.lists(st.lists(_csv_cell, max_size=4), max_size=5))
+@example([["row", "p_a"], ["0", "0.5"]])
+@example([["drop, early", 'say "hi"'], [""], [], ["a\nb", "c\rd"]])
+def test_csv_text_is_what_csv_writer_writes(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert cli._csv_text(rows) == buf.getvalue()
 
 
 def test_dumps_canonical_shapes():
     doc = {"a": 1, "b": [1.5, True, None], "c": {"d": "x"}}
     text = dumps_canonical(doc)
     assert json.loads(text) == {"a": 1, "b": [1.5, True, None], "c": {"d": "x"}}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_canonical_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        dumps_canonical({"x": value})
 
 
 def test_generate_style_deterministic(tmp_path):
@@ -190,6 +252,62 @@ def test_predict_open_categorical_orders_survive_round_trip(tmp_path):
     assert saved[0]["allowed_values"] == ["zeta", "alpha", "mid"]  # first-appearance order
     r = run_cli(["predict", "--model", "c_model.json", "--input", "c.csv", "--out", "c_"], tmp_path)
     assert r.returncode == 0, r.stderr
+
+
+def test_predict_csv_quotes_class_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    classes = ["drop, early", 'say "hi"']
+    with open("q.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["x", "Target"]] + [
+            [i % 2 + 0.1 * (i % 7), classes[i % 2]] for i in range(40)
+        ])
+    (tmp_path / "q.schema.json").write_text(json.dumps({
+        "schema_version": 1,
+        "columns": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "Target", "kind": "target", "allowed_values": classes},
+        ],
+    }))
+    assert main(["train", "--task", "academic", "--input", "q.csv", "--schema", "q.schema.json",
+                 "--l2", "0.1", "--json", "--out", "q_"]) == 0
+    assert main(["predict", "--model", "q_model.json", "--input", "q.csv", "--out", "q_"]) == 0
+    with open("q_predictions.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["row", "predicted_class", "p_drop, early", 'p_say "hi"']
+    assert len(rows) == 40
+    assert all(len(row) == 2 + len(classes) for row in rows)
+    assert {row[1] for row in rows} == set(classes)
+
+
+def test_train_saves_categories_of_prefix_sharing_columns(tmp_path, monkeypatch):
+    # the one-hot columns of 'c=x' are named 'c=x=p', which also starts with 'c='
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text(
+        "c,c=x,Target\na,p,yes\nb,q,no\na,q,yes\nb,p,no\na,p,no\nb,q,yes\n"
+    )
+    (tmp_path / "d.schema.json").write_text(json.dumps({
+        "schema_version": 1,
+        "columns": [
+            {"name": "c", "kind": "categorical"},
+            {"name": "c=x", "kind": "categorical"},
+            {"name": "Target", "kind": "target"},
+        ],
+    }))
+    assert main(["train", "--task", "academic", "--input", "d.csv", "--schema", "d.schema.json",
+                 "--seed", "1", "--train-fraction", "0.5", "--json", "--out", "d_"]) == 0
+    saved = json.loads((tmp_path / "d_model.json").read_text())["schema"]["columns"]
+    assert [c.get("allowed_values") for c in saved] == [["a", "b"], ["p", "q"], ["yes", "no"]]
+    assert main(["predict", "--model", "d_model.json", "--input", "d.csv", "--out", "d_"]) == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
+    r = run_cli(["generate", "--kind", "style", "--n", "20", "--seed", "1",
+                 "--noise-std", value, "--out", "z_"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error[ParameterError]: noise_std"), r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_academic_minimum_rows_exits_2(tmp_path):
@@ -522,7 +640,6 @@ def test_generate_academic_negative_seed_exits_2(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-_finite_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _any_float = st.one_of(_finite_positive, st.sampled_from([0.0, -1.0, math.nan, math.inf]))
 
 

@@ -13,7 +13,6 @@ from edulearn.data import (
     inverse_transform,
     load_csv,
     read_schema,
-    resolved_schema,
     split,
     transform,
     write_schema,
@@ -142,7 +141,8 @@ def test_encode_columns_matches_load_csv(tmp_path):
     assert np.array_equal(encoded.features.values, loaded.features.values)
     assert encoded.targets.tolist() == loaded.targets.tolist() == [0, 1, 0]
     assert encoded.class_names == loaded.class_names == ("yes", "no")
-    assert encoded.n_raw_columns == loaded.n_raw_columns == 2
+    assert encoded.columns == loaded.columns
+    assert encoded.columns[1] == ColumnSchema("c", "categorical", ("red", "blue"))
     with pytest.raises(SchemaError, match="'x'"):
         encode_columns(schema, {"c": ["red"], "Target": ["yes"]})
     with pytest.raises(DimensionError):
@@ -160,7 +160,7 @@ def test_load_csv_skip_column_excluded(tmp_path):
     path = _write(tmp_path, "d.csv", "id,x,Target\nr1,1.0,A\n")
     ds = load_csv(path, schema)
     assert ds.feature_names == ("x",)
-    assert ds.n_raw_columns == 1
+    assert ds.columns == tuple(schema)
 
 
 def test_load_csv_without_target(tmp_path):
@@ -187,7 +187,7 @@ def _toy_dataset(n):
         targets=np.zeros(n, dtype=np.int64),
         feature_names=("x",),
         class_names=("A", "B"),
-        n_raw_columns=1,
+        columns=BASIC_SCHEMA,
     )
 
 
@@ -339,7 +339,7 @@ def test_resolved_schema_pins_observed_orders(tmp_path):
     ]
     path = _write(tmp_path, "d.csv", "c,x,Target\nred,1,yes\nblue,2,no\nred,3,yes\n")
     ds = load_csv(path, schema)
-    resolved = resolved_schema(schema, ds)
+    resolved = ds.columns
     assert resolved[0].allowed_values == ("red", "blue")
     assert resolved[1].allowed_values is None
     assert resolved[2].allowed_values == ("yes", "no")

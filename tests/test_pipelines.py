@@ -26,18 +26,19 @@ from edulearn.pipelines import (
     route_learner_stage,
     style_ratio_label,
     style_schema,
+    style_session_columns,
     task_dataset,
 )
 
 
 def _fit_style(gen, opt, split_spec):
     ds = build_style_dataset(generate_style_sessions(gen))
-    return fit_dataset(ds, opt, split_spec, "synthetic", "style", style_schema())
+    return fit_dataset(ds, opt, split_spec, "synthetic", "style")
 
 
 def _fit_academic(csv_path, schema_path, n, seed, opt, split_spec):
-    ds, schema, data_source = task_dataset("academic", csv_path, schema_path, n, seed)
-    return fit_dataset(ds, opt, split_spec, data_source, "academic", schema)
+    ds, data_source = task_dataset("academic", csv_path, schema_path, n, seed)
+    return fit_dataset(ds, opt, split_spec, data_source, "academic")
 
 
 def test_generate_style_noiseless_scores_exact():
@@ -156,13 +157,14 @@ def test_build_style_dataset_shape():
 
 
 def test_style_csv_round_trip_matches_direct(tmp_path):
-    from edulearn.cli import _csv_text, _style_csv
+    from edulearn.cli import _csv_text
 
     cfg = StyleGenConfig(n_students=8, sessions_per_student=2, seed=21)
     pairs = generate_style_sessions(cfg)
-    header, rows = _style_csv(pairs)
+    columns = style_session_columns(pairs)
     path = tmp_path / "style.csv"
-    path.write_text(_csv_text(header, rows), encoding="utf-8")
+    rows = zip(*(map(str, column) for column in columns.values()))
+    path.write_text(_csv_text([list(columns), *rows]), encoding="utf-8")
     loaded = collapse_score_columns(load_csv(path, style_schema()))
     direct = build_style_dataset(pairs)
     assert loaded.feature_names == direct.feature_names
@@ -250,7 +252,7 @@ def test_academic_csv_round_trip_matches_direct(tmp_path):
 
     header, rows = academic_csv_rows(200, seed=31)
     path = tmp_path / "academic.csv"
-    path.write_text(_csv_text(header, rows), encoding="utf-8")
+    path.write_text(_csv_text([header, *rows]), encoding="utf-8")
     loaded = load_csv(path, academic_schema())
     direct = generate_academic_synthetic(200, seed=31)
     assert loaded.feature_names == direct.feature_names
@@ -283,7 +285,7 @@ def test_run_academic_case_study_external_csv(tmp_path):
     from edulearn.cli import _csv_text
 
     csv_path = tmp_path / "a.csv"
-    csv_path.write_text(_csv_text(header, rows), encoding="utf-8")
+    csv_path.write_text(_csv_text([header, *rows]), encoding="utf-8")
     schema_path = tmp_path / "a.schema.json"
     write_schema(schema_path, academic_schema())
     report = _fit_academic(
@@ -316,5 +318,6 @@ def test_style_gen_config_validation():
         StyleGenConfig(n_students=0)
     with pytest.raises(ParameterError):
         StyleGenConfig(visual_fraction=1.5)
-    with pytest.raises(ParameterError):
-        StyleGenConfig(noise_std=-1.0)
+    for noise_std in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="noise_std"):
+            StyleGenConfig(noise_std=noise_std)
