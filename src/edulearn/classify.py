@@ -10,6 +10,7 @@ intercepts; L1 is available only on the SGD path (per-step soft threshold).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ _P_MIN = float(np.finfo(np.float64).tiny)
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 _CURVATURE_TOL = 1e-12
+
+# rows per block of an SGD epoch (_sgd_epoch_blocked). The walk inside a
+# block costs O(B) per row, against a fixed number of numpy calls per block;
+# of B = 8, 12, 16, 24 and 32, 16 was fastest at three classes.
+_SGD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -433,74 +439,139 @@ def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     return _unpack_model(theta, xm.shape[1], k, names, converged, iterations, loss_path)
 
 
+def _sigmoid_delta(z: list, label: float) -> list:
+    """Binary SGD residual p - y of one row, from its one logit."""
+    return [_sigmoid_scalar(z[0]) - label]
+
+
+def _softmax_delta(z: list, label: int) -> list:
+    """Multinomial SGD residual softmax(z) - onehot(label) of one row."""
+    top = max(z)
+    e = [math.exp(v - top) for v in z]
+    total = sum(e)
+    delta = [v / total for v in e]
+    delta[label] -= 1.0
+    return delta
+
+
+def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta) -> None:
+    """One epoch of per-sample SGD over the rows in ``order``, updating the
+    weights ``w`` (m x d) and intercepts ``b`` (m) in place.
+
+    Each block of B rows starts from W0, b0 and applies B per-sample steps
+    ``W <- c W - lr delta_j x_j``, ``b <- b - lr delta_j``, with c = 1 - lr*l2
+    (``powers[j]`` is c**j). Before its own step, row j sees the logits
+    ``c^j W0 x_j + b0 - lr sum_{i<j} delta_i (c^(j-1-i) x_i.x_j + 1)``, so
+    one Gram matrix and one product with W0 per block leave only length-j
+    sums of Python floats in the sequential walk. The block then ends in
+    ``W = c^B W0 - lr sum_i c^(B-1-i) delta_i x_i``: the same steps as a
+    per-sample loop, with the arithmetic regrouped (the lazy weight scaling
+    of Bottou 2012, "Stochastic Gradient Descent Tricks", section 5).
+    """
+    m = len(b)
+    for start in range(0, len(order), _SGD_BLOCK):
+        rows = order[start : start + _SGD_BLOCK]
+        nb = len(rows)
+        xb = xm[rows]
+        logits = ((xb @ w.T) * powers[:nb, None] + b).tolist()
+        coupling = (lr * (xb @ xb.T * decay[:nb, :nb] + 1.0)).tolist()
+        cols: list[list[float]] = [[] for _ in range(m)]
+        # row j's coupling list is longer than the j deltas so far; map stops at those
+        for z0, h, label in zip(logits, coupling, targets[rows].tolist()):
+            z = [zc - sum(map(operator.mul, h, col)) for zc, col in zip(z0, cols)]
+            for col, dc in zip(cols, row_delta(z, label)):
+                col.append(dc)
+        deltas = np.array(cols)
+        w *= powers[nb]
+        w -= (lr * deltas * powers[nb - 1 :: -1]) @ xb
+        b -= lr * deltas.sum(axis=1)
+
+
+def _sgd_epoch_l1(xm, targets, order, w, b, lr, l1, l2) -> None:
+    """One epoch of per-sample SGD with the l1 soft threshold after every
+    step, one row at a time, updating ``w`` (m x d) and ``b`` (m) in place.
+
+    The threshold is not linear in the weights, so these steps cannot be
+    regrouped into blocks as _sgd_epoch_blocked does. A row loop shared
+    with the blocked path's residual functions was ~45% slower per binary
+    update than this one.
+    """
+    if len(b) == 1:
+        wv, bv = w[0].copy(), float(b[0])
+        buf = np.empty(w.shape[1])
+        for i in order:
+            xi = xm[i]
+            gs = _sigmoid_scalar(float(wv @ xi) + bv) - targets[i]
+            if l2 > 0.0:
+                wv *= 1.0 - lr * l2  # the l2 part of the per-sample gradient
+            np.multiply(xi, lr * gs, out=buf)
+            wv -= buf
+            bv -= lr * gs
+            wv = np.sign(wv) * np.maximum(np.abs(wv) - lr * l1, 0.0)
+        w[0], b[0] = wv, bv
+        return
+    delta = np.empty(len(b))
+    buf = np.empty(w.shape)
+    for i in order:
+        xi = xm[i]
+        np.matmul(w, xi, out=delta)
+        delta += b
+        delta -= delta.max()
+        np.exp(delta, out=delta)
+        delta /= delta.sum()
+        delta[targets[i]] -= 1.0
+        delta *= lr
+        if l2 > 0.0:
+            w *= 1.0 - lr * l2
+        np.multiply(delta[:, None], xi, out=buf)
+        w -= buf
+        b -= delta
+        np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0))
+
+
 def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     """Per-sample SGD: constant rate, seeded reshuffle each epoch, exactly
-    cfg.epochs epochs, l2 added per sample and l1 via per-step soft threshold."""
+    cfg.epochs epochs, l2 added per sample and l1 via per-step soft threshold.
+
+    Without l1 the per-sample steps are computed a block of rows at a time
+    (see _sgd_epoch_blocked); the result is the per-sample one up to rounding.
+    """
     xm, yi, names, k, objective, n_params = _fit_inputs("sgd", x, y, cfg, class_names)
     n, d = xm.shape
-    lr, l1, l2 = cfg.learning_rate, cfg.l1, cfg.l2
+    lr = cfg.learning_rate
+    c = 1.0 - lr * cfg.l2  # the l2 part of each per-sample step shrinks the weights by c
+    if k == 2:
+        m, targets, row_delta = 1, yi.astype(np.float64), _sigmoid_delta
+    else:
+        m, targets, row_delta = k, yi, _softmax_delta
     rng = np.random.default_rng(cfg.seed)
 
+    w = np.zeros((m, d))
+    b = np.zeros(m)
     theta = np.zeros(n_params)
     loss_path: list[float] = []
-
-    def check_finite(epoch: int, value: float) -> None:
-        if not math.isfinite(value):
-            raise DivergenceError(
-                f"sgd diverged at epoch {epoch + 1} with learning rate {lr}",
-                epoch=epoch + 1,
-                learning_rate=lr,
-            )
 
     # a diverging run overflows before the per-epoch loss check catches it;
     # silence the transient warnings and rely on that check
     with np.errstate(over="ignore", invalid="ignore"):
-        if k == 2:
-            w = np.zeros(d)
-            b = 0.0
-            yb = yi.astype(np.float64)
-            buf = np.empty(d)
-            for epoch in range(cfg.epochs):
-                for i in rng.permutation(n):
-                    xi = xm[i]
-                    gs = _sigmoid_scalar(float(w @ xi) + b) - yb[i]
-                    if l2 > 0.0:
-                        w *= 1.0 - lr * l2  # the l2 part of the per-sample gradient
-                    np.multiply(xi, lr * gs, out=buf)
-                    w -= buf
-                    b -= lr * gs
-                    if l1 > 0.0:
-                        w = np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0)
-                theta = np.concatenate([w, [b]])
-                value, _ = objective(theta)
-                check_finite(epoch, value)
-                loss_path.append(value)
-        else:
-            w = np.zeros((k, d))
-            b = np.zeros(k)
-            delta = np.empty(k)
-            buf = np.empty((k, d))
-            for epoch in range(cfg.epochs):
-                for i in rng.permutation(n):
-                    xi = xm[i]
-                    np.matmul(w, xi, out=delta)
-                    delta += b
-                    delta -= delta.max()
-                    np.exp(delta, out=delta)
-                    delta /= delta.sum()
-                    delta[yi[i]] -= 1.0
-                    delta *= lr
-                    if l2 > 0.0:
-                        w *= 1.0 - lr * l2
-                    np.multiply(delta[:, None], xi, out=buf)
-                    w -= buf
-                    b -= delta
-                    if l1 > 0.0:
-                        w = np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0)
-                theta = np.concatenate([w.ravel(), b])
-                value, _ = objective(theta)
-                check_finite(epoch, value)
-                loss_path.append(value)
+        powers = c ** np.arange(_SGD_BLOCK + 1)
+        lag = np.arange(_SGD_BLOCK)[:, None] - np.arange(_SGD_BLOCK) - 1
+        decay = powers[np.maximum(lag, 0)]  # decay[j, i] = c**(j-1-i) for i < j
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            if cfg.l1 > 0.0:
+                _sgd_epoch_l1(xm, targets, order, w, b, lr, cfg.l1, cfg.l2)
+            else:
+                _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta)
+            theta = np.concatenate([w.ravel(), b])
+            value, _ = objective(theta)
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"sgd diverged at epoch {epoch + 1} with learning rate {lr}",
+                    epoch=epoch + 1,
+                    learning_rate=lr,
+                )
+            loss_path.append(value)
 
     converged = cfg.epochs > 0
     return _unpack_model(theta, d, k, names, converged, cfg.epochs, loss_path)

@@ -224,6 +224,11 @@ def model_from_doc(doc):
         raise SchemaError("malformed model document: feature_names, weights and scaler lengths")
     schema = doc.get("schema")
     columns = data_mod.schema_from_doc(schema) if schema is not None else None
+    # train saves the schema's target values (checked by ColumnSchema) as class_names
+    if columns is not None and model.class_names != next(
+        c.allowed_values for c in columns if c.kind == "target"
+    ):
+        raise SchemaError("malformed model document: class_names differ from the schema's target")
     return model, scaler, columns, task, feature_names
 
 

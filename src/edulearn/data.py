@@ -55,7 +55,6 @@ __all__ = [
     "schema_from_doc",
     "read_json",
     "read_schema",
-    "write_schema",
     "encode_columns",
     "load_csv",
     "split",
@@ -86,6 +85,15 @@ class ColumnSchema:
                 raise SchemaError(f"column '{self.name}': allowed_values must be non-empty")
             if len(set(self.allowed_values)) != len(self.allowed_values):
                 raise SchemaError(f"column '{self.name}': allowed_values contains duplicates")
+            # predictions.csv holds the class names, and csv.writer (with
+            # lineterminator "\n") can leave a CR that no LF follows unquoted:
+            # csv.reader then ends the row at it
+            if self.kind == "target":
+                for v in self.allowed_values:
+                    if "\r" in v.replace("\r\n", ""):
+                        raise SchemaError(
+                            f"column '{self.name}': class name {v!r} holds a lone carriage return"
+                        )
 
 
 def _check_columns(columns: list[ColumnSchema]) -> None:
@@ -218,14 +226,6 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise SchemaError(f"{path}: not a JSON document ({exc})") from None
-
-
-def write_schema(path, columns: list[ColumnSchema]) -> None:
-    """Write the schema document of ``columns`` to ``path``."""
-    doc = schema_to_doc(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def read_schema(path) -> list[ColumnSchema]:
@@ -434,4 +434,12 @@ def inverse_transform(params: ScalerParams, x) -> DenseMatrix:
         raise DimensionError(
             f"inverse_transform: {xm.shape[1]} columns but scaler was fit on {len(params.means)}"
         )
-    return DenseMatrix(xm * params.stds.values + params.means.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = xm * params.stds.values + params.means.values
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        raise DegenerateDataError(
+            f"inverse_transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
+            "overflows float64"
+        )
+    return DenseMatrix(out)

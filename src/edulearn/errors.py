@@ -46,8 +46,8 @@ class SplitError(EdulearnError):
 
 class DegenerateDataError(EdulearnError):
     """Input values the numerics cannot use: a regression input that is
-    constant where variation is required, or features too large to
-    standardize in float64."""
+    constant where variation is required, features too large to standardize
+    in float64, or standardized values whose original units overflow it."""
 
 
 class StalledDescentError(EdulearnError):

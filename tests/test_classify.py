@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from edulearn.classify import (
+    _SGD_BLOCK,
+    _sigmoid_scalar,
     ClassMetrics,
     LogisticModel,
     OptimizerConfig,
@@ -172,6 +175,117 @@ def test_fit_sgd_divergence_names_epoch_and_rate(learning_rate):
         fit_sgd(x, y, cfg)
     assert excinfo.value.epoch is not None
     assert excinfo.value.learning_rate == learning_rate
+
+
+def _reference_sgd(x, y, cfg):
+    """Per-sample SGD as one numpy step per row: the semantics fit_sgd keeps,
+    with none of its regrouping. Returns (weights, intercepts, loss_path)."""
+    xm = np.ascontiguousarray(x, dtype=np.float64)
+    yi = np.asarray(y, dtype=np.int64)
+    n, d = xm.shape
+    k = max(2, int(yi.max()) + 1)
+    lr, l1, l2 = cfg.learning_rate, cfg.l1, cfg.l2
+    rng = np.random.default_rng(cfg.seed)
+    loss_path = []
+    if k == 2:
+        w = np.zeros(d)
+        b = 0.0
+        yb = yi.astype(np.float64)
+        buf = np.empty(d)
+        for epoch in range(cfg.epochs):
+            for i in rng.permutation(n):
+                xi = xm[i]
+                gs = _sigmoid_scalar(float(w @ xi) + b) - yb[i]
+                if l2 > 0.0:
+                    w *= 1.0 - lr * l2  # the l2 part of the per-sample gradient
+                np.multiply(xi, lr * gs, out=buf)
+                w -= buf
+                b -= lr * gs
+                if l1 > 0.0:
+                    w = np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0)
+            loss_path.append(binary_loss_grad(np.concatenate([w, [b]]), xm, yb, l2)[0])
+        return w[None, :], np.array([b]), loss_path
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    delta = np.empty(k)
+    buf = np.empty((k, d))
+    for epoch in range(cfg.epochs):
+        for i in rng.permutation(n):
+            xi = xm[i]
+            np.matmul(w, xi, out=delta)
+            delta += b
+            delta -= delta.max()
+            np.exp(delta, out=delta)
+            delta /= delta.sum()
+            delta[yi[i]] -= 1.0
+            delta *= lr
+            if l2 > 0.0:
+                w *= 1.0 - lr * l2
+            np.multiply(delta[:, None], xi, out=buf)
+            w -= buf
+            b -= delta
+            if l1 > 0.0:
+                w = np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0)
+        loss_path.append(softmax_loss_grad(w, b, xm, yi, l2)[0])
+    return w, b, loss_path
+
+
+def _assert_matches_reference(x, y, cfg):
+    weights, intercepts, loss_path = _reference_sgd(x, y, cfg)
+    model = fit_sgd(x, y, cfg)
+    got = np.concatenate([model.weights.values.ravel(), model.intercepts.values])
+    ref = np.concatenate([weights.ravel(), intercepts])
+    assert model.weights.values.shape == weights.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    assert len(model.loss_path) == len(loss_path) == cfg.epochs
+    assert np.all(np.abs(np.subtract(model.loss_path, loss_path)) <= 1e-12 * np.abs(loss_path))
+    return model
+
+
+# row counts below one block, a whole number of blocks, and neither
+@pytest.mark.parametrize("n", [_SGD_BLOCK - 3, 2 * _SGD_BLOCK, 2 * _SGD_BLOCK + 5])
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_sgd_matches_per_sample_reference(k, l2, n):
+    rng = np.random.default_rng(100 * k + n)
+    x = rng.normal(size=(n, 4))
+    y = np.arange(n) % k
+    cfg = OptimizerConfig(solver="sgd", learning_rate=0.1, l2=l2, epochs=6, seed=3)
+    model = _assert_matches_reference(x, y, cfg)
+    assert np.all(model.weights.values != 0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_sgd_l1_matches_per_sample_reference(k):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(2 * _SGD_BLOCK + 5, 5))
+    y = np.arange(len(x)) % k
+    for l2 in (0.0, 0.1):
+        cfg = OptimizerConfig(solver="sgd", learning_rate=0.1, l1=0.05, l2=l2, epochs=6, seed=4)
+        _assert_matches_reference(x, y, cfg)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_sgd_zero_epochs_gives_zero_weights(k):
+    x = np.arange(12.0).reshape(6, 2)
+    model = fit_sgd(x, np.arange(6) % k, OptimizerConfig(solver="sgd", epochs=0))
+    assert model.weights.values.shape == (1 if k == 2 else k, 2)
+    assert np.all(model.weights.values == 0.0) and np.all(model.intercepts.values == 0.0)
+    assert model.loss_path == ()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fit_sgd_overflow_is_divergence_at_epoch_1_without_warnings(k):
+    # c = 1 - lr*l2 = -5e200: its powers overflow as soon as they are built
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(20, 2))
+    y = np.arange(20) % k
+    cfg = OptimizerConfig(solver="sgd", learning_rate=1e200, l2=5.0, epochs=50, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="epoch 1 ") as excinfo:
+            fit_sgd(x, y, cfg)
+    assert excinfo.value.epoch == 1
 
 
 def test_fit_sgd_multinomial_runs():

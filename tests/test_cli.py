@@ -300,6 +300,25 @@ def test_train_saves_categories_of_prefix_sharing_columns(tmp_path, monkeypatch)
     assert main(["predict", "--model", "d_model.json", "--input", "d.csv", "--out", "d_"]) == 0
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "observed"])
+def test_class_name_with_lone_cr_exits_1(tmp_path, declared):
+    # csv.writer would leave 'a\rb' unquoted in predictions.csv, breaking its row
+    with open(tmp_path / "r.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["x", "Target"]] + [[i, ["a\rb", "c"][i % 2]] for i in range(20)])
+    target = {"name": "Target", "kind": "target"}
+    if declared:
+        target["allowed_values"] = ["c", "a\rb"]
+    (tmp_path / "r.schema.json").write_text(json.dumps(
+        {"schema_version": 1, "columns": [{"name": "x", "kind": "numeric"}, target]}
+    ))
+    r = run_cli(["train", "--task", "academic", "--input", "r.csv", "--schema", "r.schema.json",
+                 "--out", "r_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error[SchemaError]: column 'Target'"), r.stderr
+    assert "carriage return" in r.stderr and "Traceback" not in r.stderr, r.stderr
+    assert not (tmp_path / "r_model.json").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
     r = run_cli(["generate", "--kind", "style", "--n", "20", "--seed", "1",
@@ -433,6 +452,12 @@ def _malformed_model(model_text):
     return json.dumps(doc)
 
 
+def _model_class_name_with_lone_cr(model_text):
+    doc = json.loads(model_text)
+    doc["class_names"][0] = "audi\rtory"
+    return json.dumps(doc)
+
+
 def _malformed_model_schema(model_text):
     doc = json.loads(model_text)
     doc["schema"]["columns"][0] = {"name": "student_id"}
@@ -446,8 +471,9 @@ def _malformed_model_schema(model_text):
         lambda _: "not json {",
         _malformed_model,
         _malformed_model_schema,
+        _model_class_name_with_lone_cr,
     ],
-    ids=["missing-fields", "not-json", "wrong-type", "bad-schema"],
+    ids=["missing-fields", "not-json", "wrong-type", "bad-schema", "class-names-not-the-schemas"],
 )
 def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
     text = make_doc((style_model / "m_model.json").read_text())
@@ -538,16 +564,18 @@ def test_train_option_changes_the_outputs(tmp_path, monkeypatch, flag):
 
 
 def test_schema_file_and_generate_write_the_same_bytes(tmp_path):
-    from edulearn.data import ColumnSchema, schema_to_doc, write_schema
+    from edulearn.data import ColumnSchema, read_schema, schema_to_doc
 
     columns = [
         ColumnSchema("größe", "numeric"),
         ColumnSchema("c", "categorical", allowed_values=("née", "x")),
         ColumnSchema("Target", "target", allowed_values=("A", "B")),
     ]
-    write_schema(tmp_path / "s.json", columns)
-    text = (tmp_path / "s.json").read_text(encoding="utf-8")
-    assert text == dumps_canonical(schema_to_doc(columns)) + "\n"
+    (tmp_path / "s.json").write_text(dumps_canonical(schema_to_doc(columns)) + "\n", "utf-8")
+    assert read_schema(tmp_path / "s.json") == columns
+    assert main(["generate", "--kind", "style", "--n", "10", "--out", str(tmp_path / "g_")]) == 0
+    text = (tmp_path / "g_schema.json").read_text(encoding="utf-8")
+    assert text == dumps_canonical(schema_to_doc(pipelines.style_schema())) + "\n"
 
 
 @pytest.mark.parametrize(

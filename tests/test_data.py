@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from edulearn.cli import dumps_canonical
 from edulearn.data import (
     ColumnSchema,
     Dataset,
@@ -13,11 +15,12 @@ from edulearn.data import (
     inverse_transform,
     load_csv,
     read_schema,
+    schema_to_doc,
     split,
     transform,
-    write_schema,
 )
 from edulearn.errors import (
+    DegenerateDataError,
     DimensionError,
     LabelError,
     ParameterError,
@@ -278,6 +281,14 @@ def test_scaler_round_trip():
     assert np.max(np.abs(back - x)) <= 1e-10
 
 
+def test_inverse_transform_overflow_is_degenerate_data():
+    params = ScalerParams(means=DenseVector([0.0, 1e308]), stds=DenseVector([1.0, 1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="row 2, feature column 2"):
+            inverse_transform(params, [[1.0, 0.0], [0.0, 1e10]])
+
+
 def test_one_hot_rows_sum_to_one(tmp_path):
     rng = np.random.default_rng(6)
     values = rng.choice(["a", "b", "c"], size=30)
@@ -297,8 +308,7 @@ def test_schema_round_trip(tmp_path):
         ColumnSchema("c", "categorical", allowed_values=("u", "v")),
         ColumnSchema("Target", "target", allowed_values=("A", "B")),
     ]
-    path = tmp_path / "schema.json"
-    write_schema(path, columns)
+    path = _write(tmp_path, "schema.json", dumps_canonical(schema_to_doc(columns)) + "\n")
     assert read_schema(path) == columns
 
 
@@ -328,7 +338,12 @@ def test_schema_validation():
     with pytest.raises(SchemaError):
         ColumnSchema("c", "categorical", allowed_values=("a", "a"))
     with pytest.raises(SchemaError):
-        write_schema("/dev/null", [ColumnSchema("x", "numeric")])  # no target
+        schema_to_doc([ColumnSchema("x", "numeric")])  # no target
+    # a lone CR in a class name would break predictions.csv; CRLF is quoted
+    with pytest.raises(SchemaError, match="'Target'.*lone carriage return"):
+        ColumnSchema("Target", "target", allowed_values=("ok", "x\r"))
+    assert ColumnSchema("Target", "target", allowed_values=("a\r\nb",)).allowed_values
+    assert ColumnSchema("c", "categorical", allowed_values=("a\rb",)).allowed_values
 
 
 def test_resolved_schema_pins_observed_orders(tmp_path):

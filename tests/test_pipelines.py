@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edulearn.classify import OptimizerConfig
-from edulearn.data import SplitSpec, load_csv, write_schema
+from edulearn.data import SplitSpec, load_csv, schema_to_doc
 from edulearn.errors import ParameterError
 from edulearn.pipelines import (
     ACADEMIC_CLASS_NAMES,
@@ -282,12 +282,12 @@ def test_run_academic_case_study_synthetic():
 
 def test_run_academic_case_study_external_csv(tmp_path):
     header, rows = academic_csv_rows(300, seed=5)
-    from edulearn.cli import _csv_text
+    from edulearn.cli import _csv_text, dumps_canonical
 
     csv_path = tmp_path / "a.csv"
     csv_path.write_text(_csv_text([header, *rows]), encoding="utf-8")
     schema_path = tmp_path / "a.schema.json"
-    write_schema(schema_path, academic_schema())
+    schema_path.write_text(dumps_canonical(schema_to_doc(academic_schema())) + "\n")
     report = _fit_academic(
         str(csv_path), str(schema_path), None, 0, OptimizerConfig(solver="lbfgs"),
         SplitSpec(0.7, seed=2),
