@@ -10,8 +10,8 @@ shuffle seed 0) as acceptance criterion 6 does. The gap is
 predicts the argmax of the planted logits (``academic_bayes_predict``) on the
 same test rows. It prints one line per seed, then the median, 90th percentile
 and maximum gap and the seeds whose gap exceeds criterion 6's 4 points.
-Criterion 6 checks one seed; this shows how typical that seed is. One seed
-takes ~2.5 s on a 2-vCPU x86-64 host.
+Criterion 6 checks one seed; this shows how typical that seed is. The 100
+seeds took about 7 minutes on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
