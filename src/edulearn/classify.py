@@ -221,24 +221,34 @@ def _binary_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, l2: floa
     return loss, grad
 
 
-def _multinomial_value_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, l2: float):
+def _multinomial_value_grad(
+    theta: np.ndarray, x: np.ndarray, xt: np.ndarray, y: np.ndarray, k: int, l2: float
+):
     """Mean categorical cross-entropy + (l2/2)||W||^2 and its packed gradient.
 
     theta packs [W row-major (k x d), b (k)]; intercepts are unpenalized.
+    ``xt`` is ``x.T`` in C order. The logits are class-major (k x n), so each
+    class is one contiguous row, and the probabilities reuse the exponentials
+    of the log-sum-exp.
     """
     n, d = x.shape
     w = theta[: k * d].reshape(k, d)
     b = theta[k * d :]
-    z = x @ w.T + b
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), y])) + 0.5 * l2 * float((w * w).sum())
-    p = np.exp(z - lse[:, None])
-    p[np.arange(n), y] -= 1.0
-    p /= n
+    cols = np.arange(n)
+    z = w @ xt
+    z += b[:, None]
+    zmax = z.max(axis=0)
+    e = z - zmax
+    np.exp(e, out=e)
+    s = e.sum(axis=0)
+    lse = zmax + np.log(s)
+    loss = float(np.mean(lse - z[y, cols])) + 0.5 * l2 * float((w * w).sum())
+    e /= s
+    e[y, cols] -= 1.0
+    e /= n
     grad = np.empty(k * d + k)
-    grad[: k * d] = (p.T @ x + l2 * w).ravel()
-    grad[k * d :] = p.sum(axis=0)
+    grad[: k * d] = (e @ x + l2 * w).ravel()
+    grad[k * d :] = e.sum(axis=1)
     return loss, grad
 
 
@@ -280,7 +290,7 @@ def softmax_loss_grad(weights, intercepts, x, y, l2: float = 0.0):
     if yi.size and (yi.min() < 0 or yi.max() >= k):
         raise ParameterError(f"class indices must lie in [0, {k})")
     theta = np.concatenate([wm.ravel(), bv])
-    loss, grad = _multinomial_value_grad(theta, xm, yi, k, l2)
+    loss, grad = _multinomial_value_grad(theta, xm, np.ascontiguousarray(xm.T), yi, k, l2)
     return loss, DenseVector(grad)
 
 
@@ -322,8 +332,10 @@ def _make_objective(x: np.ndarray, y: np.ndarray, k: int, l2: float):
 
         return objective, x.shape[1] + 1
 
+    xt = np.ascontiguousarray(x.T)
+
     def objective(theta):
-        return _multinomial_value_grad(theta, x, y, k, l2)
+        return _multinomial_value_grad(theta, x, xt, y, k, l2)
 
     return objective, k * x.shape[1] + k
 

@@ -378,7 +378,3 @@ def main(argv=None) -> int:
     except (EdulearnError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParameterError, OSError)) else 1
-
-
-def entrypoint() -> None:
-    sys.exit(main())

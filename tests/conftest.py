@@ -19,14 +19,18 @@ def cli_env(env_extra=None):
     The checkout's ``src/`` goes first on ``PYTHONPATH`` as an absolute path, so
     the child imports this edulearn without an install and whatever its cwd;
     entries already on ``PYTHONPATH`` follow it. ``EDULEARN_SEED`` is dropped
-    so an inherited seed cannot change the output, then ``env_extra`` applies.
+    so an inherited seed cannot change the output, then ``env_extra`` applies;
+    a ``None`` value in it removes that variable.
     """
     env = dict(os.environ)
     env.pop("EDULEARN_SEED", None)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), inherited]))
-    if env_extra:
-        env.update(env_extra)
+    for name, value in (env_extra or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return env
 
 

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edulearn.classify import (
     _SGD_BLOCK,
@@ -112,6 +115,64 @@ def test_softmax_gradient_matches_finite_differences():
         fd = _central_diff(value, theta)
         denom = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(grad.values - fd) / denom) <= 1e-5
+
+
+def _softmax_loss_grad_per_row(w, b, x, y, l2):
+    """The multinomial loss and packed gradient, one row at a time."""
+    n = x.shape[0]
+    loss, gw, gb = 0.0, np.zeros_like(w), np.zeros_like(b)
+    for xi, yi in zip(x, y):
+        z = w @ xi + b
+        lse = z.max() + math.log(np.exp(z - z.max()).sum())
+        loss += lse - z[yi]
+        p = np.exp(z - lse)
+        p[yi] -= 1.0
+        gw += np.outer(p, xi)
+        gb += p
+    loss = loss / n + 0.5 * l2 * float((w * w).sum())
+    return loss, np.concatenate([(gw / n + l2 * w).ravel(), gb / n])
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("k", [3, 4])
+def test_softmax_loss_grad_matches_per_row_reference(k, l2):
+    rng = np.random.default_rng(40 + k)
+    n, d = 60, 5
+    x = rng.normal(size=(n, d))
+    x[:3] *= 300.0  # rows with logits in the hundreds, one class far ahead
+    y = rng.integers(0, k, n)
+    w = rng.normal(size=(k, d))
+    b = rng.normal(size=k)
+    loss, grad = softmax_loss_grad(w, b, x, y, l2)
+    ref_loss, ref_grad = _softmax_loss_grad_per_row(w, b, x, y, l2)
+    assert abs(w @ x[0] + b).max() > 100.0
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.max(np.abs(grad.values - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@st.composite
+def _softmax_problems(draw):
+    n, d, k = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    values = st.floats(-5.0, 5.0)
+    return (
+        draw(arrays(np.float64, (k, d), elements=values)),
+        draw(arrays(np.float64, k, elements=values)),
+        draw(arrays(np.float64, (n, d), elements=values)),
+        draw(arrays(np.int64, n, elements=st.integers(0, k - 1))),
+        draw(st.sampled_from([0.0, 0.1])),
+    )
+
+
+@settings(deadline=None)
+@given(_softmax_problems(), st.floats(-50.0, 50.0))
+def test_softmax_loss_grad_invariant_to_intercept_shift(problem, shift):
+    """Adding one constant to every intercept adds it to every logit, which
+    softmax ignores: the loss and gradient stay the same up to rounding."""
+    w, b, x, y, l2 = problem
+    loss, grad = softmax_loss_grad(w, b, x, y, l2)
+    shifted_loss, shifted_grad = softmax_loss_grad(w, b + shift, x, y, l2)
+    assert shifted_loss == pytest.approx(loss, rel=1e-12, abs=1e-11)
+    assert np.allclose(shifted_grad.values, grad.values, rtol=0.0, atol=1e-11)
 
 
 def test_fit_gd_separable_sign():

@@ -719,3 +719,71 @@ def test_report_doc_matches_the_schema(case, task, train_fraction):
     report, names = case
     doc = cli.report_to_doc(report, task, names, train_fraction)
     jsonschema.validate(json.loads(dumps_canonical(doc)), report_schema())
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("solver", ["lbfgs", "gd"])
+def test_train_bytes_do_not_depend_on_the_host_thread_count(tmp_path, solver):
+    """With the thread variables unset the CLI picks one BLAS thread itself,
+    so it writes what an explicit 1 writes. At 10,000 rows a multi-threaded
+    BLAS sums the logits in another order and changes the weights' last
+    digits."""
+    args = ["train", "--task", "academic", "--solver", solver, "--n", "10000", "--seed", "0"]
+    unset = run_cli([*args, "--out", "u_"], tmp_path, dict.fromkeys(BLAS_THREAD_VARS))
+    one = run_cli([*args, "--out", "o_"], tmp_path, dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    assert unset.returncode == 0, unset.stderr
+    assert one.returncode == 0, one.stderr
+    assert (tmp_path / "u_model.json").read_bytes() == (tmp_path / "o_model.json").read_bytes()
+    assert (tmp_path / "u_report.json").read_bytes() == (tmp_path / "o_report.json").read_bytes()
+
+
+def _thread_vars_after(code, env_extra):
+    """The three thread variables, as a child sees them after running ``code``."""
+    show = f"print([os.environ.get(v) for v in {BLAS_THREAD_VARS}])"
+    r = subprocess.run([sys.executable, "-c", f"import os; {code}; {show}"],
+                       env=cli_env(env_extra), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
+def test_main_module_defaults_blas_to_one_thread():
+    unset = dict.fromkeys(BLAS_THREAD_VARS)
+    assert _thread_vars_after("import edulearn.__main__", unset) == str(["1", "1", "1"])
+
+
+def test_main_module_keeps_a_thread_count_the_user_set():
+    chosen = dict.fromkeys(BLAS_THREAD_VARS, "3")
+    assert _thread_vars_after("import edulearn.__main__", chosen) == str(["3", "3", "3"])
+
+
+def test_library_import_leaves_the_thread_count_alone():
+    unset = dict.fromkeys(BLAS_THREAD_VARS)
+    assert _thread_vars_after("import edulearn.cli", unset) == str([None, None, None])
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """The thread settings in ``__main__`` work only because numpy loads
+    after them: ``import edulearn`` must not import it."""
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, edulearn; print('numpy' in sys.modules)"],
+        env=cli_env(), capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_console_script_is_the_main_module_entry_point():
+    """The ``edulearn`` script and ``python -m edulearn`` run the same
+    function, so both get the one-thread default."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["edulearn"]
+    module, _, attr = target.partition(":")
+    code = (f"import importlib, edulearn.__main__ as m; "
+            f"f = getattr(importlib.import_module({module!r}), {attr!r}); "
+            f"print(callable(f), f is m.entrypoint)")
+    r = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "True"]
