@@ -739,39 +739,39 @@ def test_train_bytes_do_not_depend_on_the_host_thread_count(tmp_path, solver):
     assert (tmp_path / "u_report.json").read_bytes() == (tmp_path / "o_report.json").read_bytes()
 
 
-def _thread_vars_after(code, env_extra):
-    """The three thread variables, as a child sees them after running ``code``."""
-    show = f"print([os.environ.get(v) for v in {BLAS_THREAD_VARS}])"
-    r = subprocess.run([sys.executable, "-c", f"import os; {code}; {show}"],
-                       env=cli_env(env_extra), capture_output=True, text=True)
+def _child_stdout(code, env_extra=None):
+    """What ``python -c code`` prints, run with the CLI tests' environment."""
+    r = subprocess.run([sys.executable, "-c", code], env=cli_env(env_extra),
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return r.stdout.strip()
 
 
+def _thread_vars_after(module, env_extra):
+    """The three thread variables, as a child sees them after importing ``module``."""
+    show = f"print([os.environ.get(v) for v in {BLAS_THREAD_VARS}])"
+    return _child_stdout(f"import os, {module}; {show}", env_extra)
+
+
 def test_main_module_defaults_blas_to_one_thread():
     unset = dict.fromkeys(BLAS_THREAD_VARS)
-    assert _thread_vars_after("import edulearn.__main__", unset) == str(["1", "1", "1"])
+    assert _thread_vars_after("edulearn.__main__", unset) == str(["1", "1", "1"])
 
 
 def test_main_module_keeps_a_thread_count_the_user_set():
     chosen = dict.fromkeys(BLAS_THREAD_VARS, "3")
-    assert _thread_vars_after("import edulearn.__main__", chosen) == str(["3", "3", "3"])
+    assert _thread_vars_after("edulearn.__main__", chosen) == str(["3", "3", "3"])
 
 
 def test_library_import_leaves_the_thread_count_alone():
     unset = dict.fromkeys(BLAS_THREAD_VARS)
-    assert _thread_vars_after("import edulearn.cli", unset) == str([None, None, None])
+    assert _thread_vars_after("edulearn.cli", unset) == str([None, None, None])
 
 
 def test_package_import_leaves_numpy_unloaded():
     """The thread settings in ``__main__`` work only because numpy loads
     after them: ``import edulearn`` must not import it."""
-    r = subprocess.run(
-        [sys.executable, "-c", "import sys, edulearn; print('numpy' in sys.modules)"],
-        env=cli_env(), capture_output=True, text=True,
-    )
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert _child_stdout("import sys, edulearn; print('numpy' in sys.modules)") == "False"
 
 
 def test_console_script_is_the_main_module_entry_point():
@@ -784,6 +784,4 @@ def test_console_script_is_the_main_module_entry_point():
     code = (f"import importlib, edulearn.__main__ as m; "
             f"f = getattr(importlib.import_module({module!r}), {attr!r}); "
             f"print(callable(f), f is m.entrypoint)")
-    r = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["True", "True"]
+    assert _child_stdout(code).split() == ["True", "True"]
