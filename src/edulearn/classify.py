@@ -51,6 +51,7 @@ _P_MIN = float(np.finfo(np.float64).tiny)
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 _CURVATURE_TOL = 1e-12
+_LBFGS_MEMORY = 10  # curvature pairs fit_lbfgs keeps; Nocedal & Wright (7.2) suggest 3 to 20
 
 # rows per block of an SGD epoch (_sgd_epoch_blocked). The walk inside a
 # block costs O(B) per row, against a fixed number of numpy calls per block;
@@ -73,7 +74,6 @@ class OptimizerConfig:
     tol: float = 1e-6
     l2: float = 0.0
     l1: float = 0.0
-    lbfgs_memory: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -90,8 +90,6 @@ class OptimizerConfig:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
         if self.l2 < 0 or self.l1 < 0:
             raise ParameterError("l2 and l1 must be non-negative")
-        if self.lbfgs_memory < 1:
-            raise ParameterError(f"lbfgs_memory must be >= 1, got {self.lbfgs_memory}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.l1 > 0 and self.solver != "sgd":
@@ -349,15 +347,10 @@ def _unpack_model(
     iterations: int,
     loss_path: list[float],
 ) -> LogisticModel:
-    if k == 2:
-        weights = theta[:d].reshape(1, d)
-        intercepts = theta[d:]
-    else:
-        weights = theta[: k * d].reshape(k, d)
-        intercepts = theta[k * d :]
+    m = 1 if k == 2 else k
     return LogisticModel(
-        weights=DenseMatrix(weights),
-        intercepts=DenseVector(intercepts),
+        weights=DenseMatrix(theta[: m * d].reshape(m, d)),
+        intercepts=DenseVector(theta[m * d :]),
         class_names=names,
         converged=converged,
         iterations_used=iterations,
@@ -365,36 +358,53 @@ def _unpack_model(
     )
 
 
-def _armijo_step(objective, theta, value, grad, direction):
-    """Backtracking line search: halve the step until sufficient decrease."""
-    slope = float(grad @ direction)
-    step = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        candidate = theta + step * direction
-        cand_value, cand_grad = objective(candidate)
-        if math.isfinite(cand_value) and cand_value <= value + _ARMIJO_C * step * slope:
-            return candidate, cand_value, cand_grad
-        step *= 0.5
-    raise StalledDescentError(
-        f"line search found no decrease after {_MAX_HALVINGS} halvings", iterate=theta
-    )
-
-
-def _descent_loop(objective, n_params: int, cfg: OptimizerConfig, direction_fn, on_step=None):
-    """Shared GD / L-BFGS shell: iterate until grad tolerance or max_iter."""
+def _descent(objective, n_params: int, cfg: OptimizerConfig, memory: int):
+    """Armijo backtracking steps from zero weights until the gradient
+    tolerance or max_iter, along the L-BFGS two-loop direction from the last
+    ``memory`` curvature pairs: with none stored it is -grad, so memory 0 is
+    gradient descent. The inverse-Hessian seed is scaled by s.y / y.y of the
+    newest pair; pairs with curvature s.y <= 1e-12 are skipped.
+    """
     theta = np.zeros(n_params)
     value, grad = objective(theta)
     loss_path = [value]
+    history: list[tuple[np.ndarray, np.ndarray, float]] = []
     iterations = 0
     converged = bool(np.max(np.abs(grad)) < cfg.tol) if grad.size else True
     while not converged and iterations < cfg.max_iter:
-        direction = direction_fn(grad)
-        if float(direction @ grad) >= 0.0:
-            direction = -grad
-        new_theta, value, new_grad = _armijo_step(objective, theta, value, grad, direction)
-        if on_step is not None:
-            on_step(new_theta - theta, new_grad - grad)
-        theta, grad = new_theta, new_grad
+        direction = -grad
+        if history:
+            q = grad.copy()
+            alphas: list[float] = []
+            for s, yb, rho in reversed(history):
+                alphas.append(rho * float(s @ q))
+                q -= alphas[-1] * yb
+            s, yb, _ = history[-1]
+            q *= float(s @ yb) / float(yb @ yb)
+            for (s, yb, rho), a in zip(history, reversed(alphas)):
+                q += (a - rho * float(yb @ q)) * s
+            direction = -q
+            if float(direction @ grad) >= 0.0:
+                direction = -grad
+        slope, step = float(grad @ direction), 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            new_theta = theta + step * direction
+            new_value, new_grad = objective(new_theta)
+            if math.isfinite(new_value) and new_value <= value + _ARMIJO_C * step * slope:
+                break
+            step *= 0.5
+        else:
+            raise StalledDescentError(
+                f"line search found no decrease after {_MAX_HALVINGS} halvings", iterate=theta
+            )
+        if memory:
+            s, yb = new_theta - theta, new_grad - grad
+            curvature = float(s @ yb)
+            if curvature > _CURVATURE_TOL:
+                history.append((s, yb, 1.0 / curvature))
+                if len(history) > memory:
+                    history.pop(0)
+        theta, value, grad = new_theta, new_value, new_grad
         loss_path.append(value)
         iterations += 1
         converged = bool(np.max(np.abs(grad)) < cfg.tol)
@@ -402,52 +412,18 @@ def _descent_loop(objective, n_params: int, cfg: OptimizerConfig, direction_fn, 
 
 
 def fit_gd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
-    """Full-batch gradient descent with Armijo backtracking from zero weights."""
+    """Full-batch gradient descent with Armijo backtracking from zero weights:
+    the descent routine with no curvature memory."""
     xm, _, names, k, objective, n_params = _fit_inputs("gd", x, y, cfg, class_names)
-    theta, converged, iterations, loss_path = _descent_loop(
-        objective, n_params, cfg, lambda grad: -grad
-    )
+    theta, converged, iterations, loss_path = _descent(objective, n_params, cfg, 0)
     return _unpack_model(theta, xm.shape[1], k, names, converged, iterations, loss_path)
 
 
 def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
-    """L-BFGS with two-loop recursion and Armijo backtracking.
-
-    The inverse-Hessian seed is scaled by s.y / y.y from the most recent
-    pair; pairs with curvature s.y <= 1e-12 are skipped.
-    """
+    """L-BFGS with two-loop recursion over the last _LBFGS_MEMORY curvature
+    pairs and Armijo backtracking from zero weights."""
     xm, _, names, k, objective, n_params = _fit_inputs("lbfgs", x, y, cfg, class_names)
-
-    history: list[tuple[np.ndarray, np.ndarray, float]] = []
-
-    def direction_fn(grad: np.ndarray) -> np.ndarray:
-        q = grad.copy()
-        alphas: list[float] = []
-        for s, yb, rho in reversed(history):
-            a = rho * float(s @ q)
-            q -= a * yb
-            alphas.append(a)
-        if history:
-            s_last, y_last, _ = history[-1]
-            gamma = float(s_last @ y_last) / float(y_last @ y_last)
-        else:
-            gamma = 1.0
-        r = gamma * q
-        for (s, yb, rho), a in zip(history, reversed(alphas)):
-            b = rho * float(yb @ r)
-            r += (a - b) * s
-        return -r
-
-    def on_step(s: np.ndarray, yb: np.ndarray) -> None:
-        curvature = float(s @ yb)
-        if curvature > _CURVATURE_TOL:
-            history.append((s, yb, 1.0 / curvature))
-            if len(history) > cfg.lbfgs_memory:
-                history.pop(0)
-
-    theta, converged, iterations, loss_path = _descent_loop(
-        objective, n_params, cfg, direction_fn, on_step
-    )
+    theta, converged, iterations, loss_path = _descent(objective, n_params, cfg, _LBFGS_MEMORY)
     return _unpack_model(theta, xm.shape[1], k, names, converged, iterations, loss_path)
 
 

@@ -25,7 +25,7 @@ from .data import ScalerParams, transform
 from .errors import EdulearnError, ParameterError, SchemaError
 from .numcore import DenseMatrix, DenseVector
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 MODEL_VERSION = 1
 
 OUTPUT_REPORT = "report.json"
@@ -128,7 +128,6 @@ def config_to_doc(opt: OptimizerConfig) -> dict:
         "tol": float(opt.tol),
         "l2": float(opt.l2),
         "l1": float(opt.l1),
-        "lbfgs_memory": int(opt.lbfgs_memory),
         "seed": int(opt.seed),
     }
 
@@ -187,14 +186,14 @@ def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
             "means": bundle.scaler.means.values.tolist(),
             "stds": bundle.scaler.stds.values.tolist(),
         },
-        "schema": data_mod.schema_to_doc(bundle.schema) if bundle.schema is not None else None,
+        "schema": data_mod.schema_to_doc(bundle.schema),
     }
 
 
-def model_from_doc(doc):
-    """Rebuild (model, scaler, schema columns, task, feature_names) from model.json.
+def model_from_doc(doc) -> pipelines.FitBundle:
+    """Rebuild the FitBundle that model_to_doc wrote from model.json.
 
-    A missing or wrong-typed field, or lengths that disagree, is a SchemaError.
+    A missing, null or wrong-typed field, or lengths that disagree, is a SchemaError.
     """
     if not isinstance(doc, dict) or doc.get("model_version") != MODEL_VERSION:
         raise SchemaError(f"unsupported model document (want model_version {MODEL_VERSION})")
@@ -212,6 +211,7 @@ def model_from_doc(doc):
         )
         task = doc["task"]
         feature_names = tuple(doc["feature_names"])
+        columns = tuple(data_mod.schema_from_doc(doc["schema"]))
     except KeyError as exc:
         raise SchemaError(f"model document has no field {exc}") from None
     except (TypeError, ValueError, EdulearnError) as exc:
@@ -222,14 +222,10 @@ def model_from_doc(doc):
         raise SchemaError("malformed model document: task, class and feature names")
     if not len(feature_names) == model.n_features == len(scaler.means):
         raise SchemaError("malformed model document: feature_names, weights and scaler lengths")
-    schema = doc.get("schema")
-    columns = data_mod.schema_from_doc(schema) if schema is not None else None
     # train saves the schema's target values (checked by ColumnSchema) as class_names
-    if columns is not None and model.class_names != next(
-        c.allowed_values for c in columns if c.kind == "target"
-    ):
+    if model.class_names != next(c.allowed_values for c in columns if c.kind == "target"):
         raise SchemaError("malformed model document: class_names differ from the schema's target")
-    return model, scaler, columns, task, feature_names
+    return pipelines.FitBundle(model, scaler, feature_names, task, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def cmd_train(args, seed: int) -> int:
     ds, data_source = pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed)
     report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task)
 
-    doc = report_to_doc(report, args.task, bundle.class_names, args.train_fraction)
+    doc = report_to_doc(report, args.task, bundle.model.class_names, args.train_fraction)
     atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
     atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
     if not args.json:
@@ -288,17 +284,17 @@ def cmd_train(args, seed: int) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, scaler, columns, task, feature_names = model_from_doc(data_mod.read_json(args.model))
-    if columns is None:
-        raise SchemaError("model document carries no schema; cannot ingest raw CSV input")
-    ds = pipelines.task_features(task, data_mod.load_csv(args.input, columns, require_target=False))
+    bundle = model_from_doc(data_mod.read_json(args.model))
+    model, feature_names = bundle.model, bundle.feature_names
+    raw = data_mod.load_csv(args.input, bundle.schema, require_target=False)
+    ds = pipelines.task_features(bundle.task, raw)
     if ds.feature_names != feature_names:
         missing = [n for n in feature_names if n not in ds.feature_names]
         extra = [n for n in ds.feature_names if n not in feature_names]
         raise SchemaError(
             f"input features do not match the model (missing {missing}, unexpected {extra})"
         )
-    x = transform(scaler, ds.features)
+    x = transform(bundle.scaler, ds.features)
     names = [model.class_names[k] for k in predict(model, x).tolist()]
     proba = proba_full(model, x)
 

@@ -328,15 +328,23 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     The header must match the schema names exactly (order-insensitive).
     With ``require_target=False`` the target column may be absent (for
     prediction inputs); the returned dataset then has zero-length targets.
+    Text that is not UTF-8, or that csv.reader rejects (say a cell over its
+    field size limit), is a ParseError naming the line.
     """
     _check_columns(columns)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 after line {reader.line_num} ({exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
     target_name = next(c.name for c in columns if c.kind == "target")
     expected = {c.name for c in columns}

@@ -161,9 +161,8 @@ class FitBundle:
     model: object
     scaler: ScalerParams
     feature_names: tuple[str, ...]
-    class_names: tuple[str, ...]
     task: str
-    schema: tuple[ColumnSchema, ...] | None
+    schema: tuple[ColumnSchema, ...]
 
 
 def generate_style_sessions(cfg: StyleGenConfig) -> list[tuple[StyleSession, StyleLabel]]:
@@ -360,7 +359,6 @@ def fit_dataset(
         model=model,
         scaler=scaler,
         feature_names=ds.feature_names,
-        class_names=ds.class_names,
         task=task,
         schema=ds.columns,
     )

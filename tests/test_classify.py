@@ -25,7 +25,12 @@ from edulearn.classify import (
     softmax_loss_grad,
     train_logistic,
 )
-from edulearn.errors import DimensionError, DivergenceError, ParameterError
+from edulearn.errors import (
+    DimensionError,
+    DivergenceError,
+    ParameterError,
+    StalledDescentError,
+)
 from edulearn.numcore import DenseMatrix, DenseVector
 
 
@@ -406,6 +411,87 @@ def test_lbfgs_multinomial_matches_gd():
     gd = fit_gd(x, y, OptimizerConfig(solver="gd", l2=0.1, tol=1e-8, max_iter=100_000))
     lb = fit_lbfgs(x, y, OptimizerConfig(solver="lbfgs", l2=0.1, tol=1e-8))
     assert np.max(np.abs(gd.weights.values - lb.weights.values)) <= 1e-4
+
+
+def _packed_objective(x, y, k, l2):
+    """The trainers' objective at a packed parameter vector, from the public
+    loss functions: (loss, gradient array)."""
+    d = x.shape[1]
+    if k == 2:
+        def objective(theta):
+            loss, grad = binary_loss_grad(theta, x, y.astype(float), l2)
+            return loss, grad.values
+        return objective, d + 1
+
+    def objective(theta):
+        loss, grad = softmax_loss_grad(theta[: k * d].reshape(k, d), theta[k * d :], x, y, l2)
+        return loss, grad.values
+    return objective, k * d + k
+
+
+def _reference_descent(objective, n_params, tol, max_iter, memory):
+    """Steepest descent (memory 0) or textbook two-loop L-BFGS (Nocedal &
+    Wright, Algorithm 7.4), each step an Armijo backtracking search that
+    halves a unit step; returns (theta, iterations, loss path)."""
+    theta = np.zeros(n_params)
+    f, g = objective(theta)
+    path = [f]
+    pairs = []  # (s, y) with s.y > 1e-12, oldest first
+    while np.max(np.abs(g)) >= tol and len(path) - 1 < max_iter:
+        if pairs:
+            q = g.copy()
+            alphas = []
+            for s, yv in reversed(pairs):
+                alphas.append(1.0 / float(s @ yv) * float(s @ q))
+                q -= alphas[-1] * yv
+            q *= float(pairs[-1][0] @ pairs[-1][1]) / float(pairs[-1][1] @ pairs[-1][1])
+            for (s, yv), a in zip(pairs, reversed(alphas)):
+                q += (a - 1.0 / float(s @ yv) * float(yv @ q)) * s
+            p = -q
+            if float(p @ g) >= 0.0:
+                p = -g
+        else:
+            p = -g
+        slope, step = float(g @ p), 1.0
+        while True:
+            new = theta + step * p
+            f_new, g_new = objective(new)
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        if memory and float((new - theta) @ (g_new - g)) > 1e-12:
+            pairs = [*pairs, (new - theta, g_new - g)][-memory:]
+        theta, f, g = new, f_new, g_new
+        path.append(f)
+    return theta, len(path) - 1, path
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("solver, memory", [("gd", 0), ("lbfgs", 10)])
+def test_descent_trainers_follow_the_reference_trajectory(solver, memory, k, l2):
+    # features this wide make unit steps overshoot, so the line search halves
+    # some GD steps, and L-BFGS runs long enough to drop its oldest pairs
+    rng = np.random.default_rng(20 + k)
+    x = 4.0 * rng.normal(size=(80, 4))
+    y = np.argmax(x[:, :k] + 4.0 * rng.normal(size=(80, k)), axis=1)
+    cfg = OptimizerConfig(solver=solver, l2=l2, tol=1e-8, max_iter=150)
+    model = (fit_gd if solver == "gd" else fit_lbfgs)(x, y, cfg)
+    objective, n_params = _packed_objective(x, y, k, l2)
+    theta, iterations, path = _reference_descent(objective, n_params, cfg.tol, 150, memory)
+    m = model.weights.rows
+    assert model.weights.values.tobytes() == theta[: m * 4].tobytes()
+    assert model.intercepts.values.tobytes() == theta[m * 4 :].tobytes()
+    assert (model.iterations_used, model.loss_path) == (iterations, tuple(path))
+
+
+@pytest.mark.parametrize("fit, solver", [(fit_gd, "gd"), (fit_lbfgs, "lbfgs")])
+def test_line_search_stall_is_named_and_keeps_the_iterate(fit, solver):
+    # every trial step overflows the loss, down to 2**-50 of the first
+    x = np.array([[1e200], [-1e200]])
+    with np.errstate(all="ignore"), pytest.raises(StalledDescentError) as info:
+        fit(x, np.array([0, 1]), OptimizerConfig(solver=solver))
+    assert info.value.iterate.tolist() == [0.0, 0.0]
 
 
 def test_flipped_labels_flip_predictions():

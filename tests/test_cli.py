@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from edulearn import cli, pipelines
 from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics
-from edulearn.data import ScalerParams
+from edulearn.data import ColumnSchema, ScalerParams
 from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, main, model_from_doc
 from edulearn.numcore import DenseMatrix, DenseVector
@@ -64,15 +65,17 @@ def test_model_doc_round_trips_exactly(parts):
     model = LogisticModel(DenseMatrix(weights), DenseVector(intercepts), class_names, True, 1)
     scaler = ScalerParams(DenseVector(means), DenseVector(stds))
     features = tuple(f"f{j}" for j in range(len(means)))
-    bundle = pipelines.FitBundle(model, scaler, features, class_names, "academic", None)
+    schema = (*(ColumnSchema(f, "numeric") for f in features),
+              ColumnSchema("Target", "target", class_names))
+    bundle = pipelines.FitBundle(model, scaler, features, "academic", schema)
     text = dumps_canonical(cli.model_to_doc(bundle, OptimizerConfig()))
-    back, back_scaler, _, _, back_features = model_from_doc(json.loads(text))
-    assert back_features == features
+    back = model_from_doc(json.loads(text))
+    assert (back.feature_names, back.task, back.schema) == (features, "academic", schema)
     for a, b in (
-        (model.weights, back.weights),
-        (model.intercepts, back.intercepts),
-        (scaler.means, back_scaler.means),
-        (scaler.stds, back_scaler.stds),
+        (model.weights, back.model.weights),
+        (model.intercepts, back.model.intercepts),
+        (scaler.means, back.scaler.means),
+        (scaler.stds, back.scaler.stds),
     ):
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -127,17 +130,22 @@ def test_train_writes_valid_report_and_model(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "t_report.json").read_text())
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert report["task"] == "academic"
     assert report["data_source"] == "synthetic"
     assert set(report["class_distribution"]) == {"Graduate", "Dropout", "Enrolled"}
     jsonschema.validate(report, report_schema())
 
     model_doc = json.loads((tmp_path / "t_model.json").read_text())
-    model, scaler, columns, task, feature_names = model_from_doc(model_doc)
-    assert task == "academic"
-    assert model.n_classes == 3
-    assert len(feature_names) == model.weights.cols
+    bundle = model_from_doc(model_doc)
+    assert bundle.task == "academic"
+    assert bundle.model.n_classes == 3
+    assert len(bundle.feature_names) == bundle.model.weights.cols
+
+
+def test_config_doc_echoes_every_optimizer_field():
+    fields = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert list(cli.config_to_doc(OptimizerConfig())) == fields
 
 
 def test_train_config_echo_reflects_flags(tmp_path):
@@ -458,6 +466,18 @@ def _model_class_name_with_lone_cr(model_text):
     return json.dumps(doc)
 
 
+def _model_without_schema(model_text):
+    doc = json.loads(model_text)
+    del doc["schema"]
+    return json.dumps(doc)
+
+
+def _model_with_null_schema(model_text):
+    doc = json.loads(model_text)
+    doc["schema"] = None
+    return json.dumps(doc)
+
+
 def _malformed_model_schema(model_text):
     doc = json.loads(model_text)
     doc["schema"]["columns"][0] = {"name": "student_id"}
@@ -472,8 +492,11 @@ def _malformed_model_schema(model_text):
         _malformed_model,
         _malformed_model_schema,
         _model_class_name_with_lone_cr,
+        _model_without_schema,
+        _model_with_null_schema,
     ],
-    ids=["missing-fields", "not-json", "wrong-type", "bad-schema", "class-names-not-the-schemas"],
+    ids=["missing-fields", "not-json", "wrong-type", "bad-schema", "class-names-not-the-schemas",
+         "no-schema", "null-schema"],
 )
 def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
     text = make_doc((style_model / "m_model.json").read_text())
@@ -484,6 +507,32 @@ def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
     assert r.stderr.startswith("error[SchemaError]"), r.stderr
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "b_predictions.csv").exists()
+
+
+def _csv_not_utf8(header):
+    return header[:12] + b"\xff\n"
+
+
+def _csv_cell_over_field_limit(header):
+    return header + b"\n" + b"x" * (csv.field_size_limit() + 1) + b"\n"
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize(
+    "make_csv", [_csv_not_utf8, _csv_cell_over_field_limit], ids=["not-utf8", "cell-over-limit"]
+)
+def test_unreadable_csv_exits_1(style_model, tmp_path, command, make_csv):
+    header = (style_model / "d_data.csv").read_bytes().splitlines()[0]
+    (tmp_path / "bad.csv").write_bytes(make_csv(header))
+    if command == "train":
+        args = ["train", "--task", "style", "--seed", "0", "--json"]
+    else:
+        args = ["predict", "--model", str(style_model / "m_model.json")]
+    r = run_cli([*args, "--input", "bad.csv", "--out", "o_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error[ParseError]: bad.csv: "), r.stderr
+    assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 @pytest.mark.parametrize(
@@ -685,7 +734,6 @@ def _case_study_reports(draw):
             tol=draw(_any_float),
             l2=draw(st.one_of(st.just(0.0), _any_float)),
             l1=draw(st.one_of(st.just(0.0), _any_float)) if solver == "sgd" else 0.0,
-            lbfgs_memory=draw(st.integers(1, 100)),
             seed=draw(st.integers(0, 2**63 - 1)),
         )
     except ParameterError:
