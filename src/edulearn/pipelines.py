@@ -408,33 +408,6 @@ _CATEGORY_PROBS = {
     "international": (0.95, 0.05),
 }
 
-_NUMERIC_ORDER = (
-    "application_order",
-    "prev_qualification_grade",
-    "admission_grade",
-    "age_at_enrollment",
-    "credits_transferred",
-    "units_1st_enrolled",
-    "units_1st_evaluations",
-    "units_1st_approved",
-    "units_1st_grade",
-    "units_2nd_enrolled",
-    "units_2nd_evaluations",
-    "units_2nd_approved",
-    "units_2nd_grade",
-    "study_hours_weekly",
-    "attendance_rate",
-    "assignment_submission_rate",
-    "absence_days",
-    "commute_minutes",
-    "entrance_rank",
-    "library_visits",
-    "tutoring_sessions",
-    "unemployment_rate",
-    "inflation_rate",
-    "gdp_growth",
-)
-
 _COLUMN_ORDER = (
     "marital_status",
     "application_mode",

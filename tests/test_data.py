@@ -1,9 +1,15 @@
+import csv
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edulearn import data as data_mod
 from edulearn.cli import dumps_canonical
 from edulearn.data import (
     ColumnSchema,
@@ -22,6 +28,7 @@ from edulearn.data import (
 from edulearn.errors import (
     DegenerateDataError,
     DimensionError,
+    EdulearnError,
     LabelError,
     ParameterError,
     ParseError,
@@ -182,6 +189,171 @@ def test_load_csv_quoted_cells(tmp_path):
     path = _write(tmp_path, "d.csv", 'name,Target\n"ann, lee",A\nbob,B\n')
     ds = load_csv(path, schema)
     assert ds.feature_names == ("name=ann, lee", "name=bob")
+
+
+def _assert_same_dataset(a, b):
+    assert np.array_equal(a.features.values, b.features.values)
+    assert a.targets.tolist() == b.targets.tolist()
+    assert a.feature_names == b.feature_names
+    assert a.class_names == b.class_names
+    assert a.columns == b.columns
+
+
+# the first data row decides the path: a quoted cell sends the file through csv.reader
+_FIRST_ROW = {"split": "1.0,A\n", "csv-reader": '"1.0",A\n'}
+
+
+@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("1.0,A,x", ParseError, "row {row} has 3 values, expected 2"),
+        ("1.0", ParseError, "row {row} has 1 values, expected 2"),
+        ("", ParseError, "row {row} has 0 values, expected 2"),
+        ("oops,B", ParseError, "row {row}, column 'x': cannot parse 'oops' as a number"),
+        ("inf,B", ParseError, "row {row}, column 'x': non-finite value 'inf'"),
+        ("1.0,C", LabelError, "row {row}, target 'Target': value 'C' not in allowed_values"),
+        ("y" * 131_073 + ",A", ParseError, "line {line}: field larger than field limit (131072)"),
+    ],
+    ids=["extra-field", "missing-field", "blank-line", "bad-number", "inf", "label", "over-limit"],
+)
+def test_load_csv_error_past_the_first_chunk_names_file_and_row(
+    tmp_path, path_kind, row, error, message
+):
+    n = data_mod._CHUNK_ROWS
+    text = "x,Target\n" + _FIRST_ROW[path_kind] + "2.0,B\n" * (n - 1) + row + "\n1.0,A\n"
+    path = _write(tmp_path, "d.csv", text)
+    expected = message.format(row=n + 1, line=n + 2)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {expected}')}$"):
+        load_csv(path, BASIC_SCHEMA)
+
+
+# one column: a blank line has as many commas as a one-value row
+@pytest.mark.parametrize("first", ["1.5", '"1.5"'], ids=list(_FIRST_ROW))
+def test_load_csv_blank_line_in_a_one_column_file(tmp_path, first):
+    path = _write(tmp_path, "d.csv", f"x\n{first}\n\n2.5\n")
+    with pytest.raises(ParseError, match="row 2 has 0 values, expected 1"):
+        load_csv(path, BASIC_SCHEMA, require_target=False)
+
+
+@pytest.mark.parametrize("late", ["green", '"green"'], ids=["split", "quote-in-second-chunk"])
+def test_load_csv_open_categorical_first_seen_in_a_later_chunk(tmp_path, late):
+    schema = [ColumnSchema("c", "categorical"), ColumnSchema("Target", "target")]
+    n = data_mod._CHUNK_ROWS
+    c = ["red", "blue"] * (n // 2) + ["green", "red", "blue"]
+    target = ["yes"] * n + ["no", "yes", "no"]
+    text = "c,Target\n" + "".join(f"{v},{t}\n" for v, t in zip(c, target))
+    text = text.replace("\ngreen,", f"\n{late},")
+    ds = load_csv(_write(tmp_path, "d.csv", text), schema)
+    assert ds.columns == (
+        ColumnSchema("c", "categorical", ("red", "blue", "green")),
+        ColumnSchema("Target", "target", ("yes", "no")),
+    )
+    _assert_same_dataset(ds, encode_columns(schema, {"c": c, "Target": target}))
+
+
+@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+def test_load_csv_non_utf8_past_the_first_chunk(tmp_path, path_kind):
+    path = tmp_path / "d.csv"
+    first = _FIRST_ROW[path_kind].encode()
+    path.write_bytes(b"x,Target\n" + first + b"2.0,B\n" * 20_000 + b"\xff,A\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 after line "):
+        load_csv(path, BASIC_SCHEMA)
+
+
+def _reference_load(path, schema, require_target):
+    """load_csv as one csv.reader pass plus encode_columns, or None where it
+    must raise."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return None
+    header, body = rows[0], rows[1:]
+    names = {c.name for c in schema}
+    allowed = [names] if require_target else [names, names - {"Target"}]
+    if len(set(header)) != len(header) or set(header) not in allowed:
+        return None
+    if any(len(row) != len(header) for row in body):
+        return None
+    cells = {name: [row[j] for row in body] for j, name in enumerate(header)}
+    for c in schema:
+        if c.kind == "numeric":
+            try:
+                cells[c.name] = [float(v) for v in cells[c.name]]
+            except ValueError:
+                return None
+            if not all(map(math.isfinite, cells[c.name])):
+                return None
+    try:
+        return encode_columns(schema, cells, require_target)
+    except EdulearnError:
+        return None
+
+
+# per column: plain cells, cells that quote or hold a quote, and faulty cells
+_PROPERTY_CELLS = {
+    "id": (["r1", "", "r 2"], ['"q,r"', '"r1"'], []),
+    "x": (["1.5", "-2", "0", " 4", "1e3", "1_0"], ['"3.5"'], ["", "nan", "inf", "1e999", "oops"]),
+    "c": (["red", "blue", "green", "", "yes\x00"], ['"red"', '"a,b"', '"x""y"', 'x"y'], ["pink"]),
+    "Target": (["A", "B"], ['"A"', '"B\r\nB"'], ["C", '"\r"']),
+}
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text over the columns id/x/c/Target. Quoted cells and CR line ends
+    (the csv.reader path) and faults each come in about half the texts. The
+    faults: empty, nan/inf and unparsable numbers, unknown labels, ragged rows,
+    blank lines, a BOM, and duplicate, missing or quoted header names."""
+    quoted, faulty = draw(st.booleans()), draw(st.booleans())
+    pools = {
+        name: st.sampled_from(plain + quotes * quoted + faults * faulty)
+        for name, (plain, quotes, faults) in _PROPERTY_CELLS.items()
+    }
+    names = draw(st.permutations(list(pools)))
+    if faulty:
+        names = draw(
+            st.sampled_from(
+                [names, names[:-1], [*names, names[0]], [f'"{names[0]}"', *names[1:]], names[1:]]
+            )
+        )
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        cells = [draw(pools.get(n.strip('"'), st.just("1"))) for n in names]
+        if faulty:
+            cells = draw(st.sampled_from([cells, cells, cells, [], cells[:-1], [*cells, "1"]]))
+        rows.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"] if quoted else ["\n"]))
+    text = end.join([",".join(names), *rows]) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "\ufeff"] if faulty else [""])) + text
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _csv_texts(),
+    st.sampled_from([None, ("red", "blue", "green", "a,b", 'x"y', "", "yes\x00")]),
+    st.sampled_from([None, ("A", "B")]),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 8192]),
+)
+def test_load_csv_matches_csv_reader_or_raises_edulearn_error(
+    tmp_path_factory, text, categories, classes, require_target, chunk_rows
+):
+    schema = [
+        ColumnSchema("id", "skip"),
+        ColumnSchema("x", "numeric"),
+        ColumnSchema("c", "categorical", categories),
+        ColumnSchema("Target", "target", classes),
+    ]
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _reference_load(path, schema, require_target)
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        if expected is None:
+            with pytest.raises(EdulearnError):
+                load_csv(path, schema, require_target)
+        else:
+            _assert_same_dataset(load_csv(path, schema, require_target), expected)
 
 
 def _toy_dataset(n):

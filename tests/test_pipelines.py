@@ -250,14 +250,15 @@ def test_academic_synthetic_minimum_rows():
 def test_academic_csv_round_trip_matches_direct(tmp_path):
     from edulearn.cli import _csv_text
 
-    header, rows = academic_csv_rows(200, seed=31)
-    path = tmp_path / "academic.csv"
-    path.write_text(_csv_text([header, *rows]), encoding="utf-8")
-    loaded = load_csv(path, academic_schema())
-    direct = generate_academic_synthetic(200, seed=31)
-    assert loaded.feature_names == direct.feature_names
-    assert np.array_equal(loaded.features.values, direct.features.values)
-    assert np.array_equal(loaded.targets, direct.targets)
+    for n_rows in (200, 20_000):  # 20,000 rows cross load_csv's chunk boundaries
+        header, rows = academic_csv_rows(n_rows, seed=31)
+        path = tmp_path / "academic.csv"
+        path.write_text(_csv_text([header, *rows]), encoding="utf-8")
+        loaded = load_csv(path, academic_schema())
+        direct = generate_academic_synthetic(n_rows, seed=31)
+        assert loaded.feature_names == direct.feature_names
+        assert np.array_equal(loaded.features.values, direct.features.values)
+        assert np.array_equal(loaded.targets, direct.targets)
 
 
 def test_academic_bayes_predict_aligns():
