@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edulearn.classify import (
+    _OBJECTIVE_BLOCK,
     _SGD_BLOCK,
     _sigmoid_scalar,
     ClassMetrics,
@@ -138,11 +139,29 @@ def _softmax_loss_grad_per_row(w, b, x, y, l2):
     return loss, np.concatenate([(gw / n + l2 * w).ravel(), gb / n])
 
 
-@pytest.mark.parametrize("l2", [0.0, 0.1])
-@pytest.mark.parametrize("k", [3, 4])
-def test_softmax_loss_grad_matches_per_row_reference(k, l2):
+def _with_rows(cases, row_counts):
+    """Each case once per row count; the first count keeps the case's id,
+    the others add "-n<rows>" to it."""
+    return [
+        pytest.param(*case, n, id="-".join(map(str, case)) + (f"-n{n}" if i else ""))
+        for i, n in enumerate(row_counts)
+        for case in cases
+    ]
+
+
+# 60 rows fit in one block of the objective; the others end one row short
+# of a block, on a block boundary, one row into a second block and five rows
+# into a third
+@pytest.mark.parametrize(
+    "k, l2, n",
+    _with_rows(
+        [(k, l2) for k in (3, 4) for l2 in (0.0, 0.1)],
+        [60, *(_OBJECTIVE_BLOCK + i for i in (-1, 0, 1)), 2 * _OBJECTIVE_BLOCK + 5],
+    ),
+)
+def test_softmax_loss_grad_matches_per_row_reference(k, l2, n):
     rng = np.random.default_rng(40 + k)
-    n, d = 60, 5
+    d = 5
     x = rng.normal(size=(n, d))
     x[:3] *= 300.0  # rows with logits in the hundreds, one class far ahead
     y = rng.integers(0, k, n)
@@ -153,6 +172,35 @@ def test_softmax_loss_grad_matches_per_row_reference(k, l2):
     assert abs(w @ x[0] + b).max() > 100.0
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     assert np.max(np.abs(grad.values - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, y, k: binary_loss_grad(np.zeros(3), x, y.astype(float)),
+        lambda x, y, k: softmax_loss_grad(np.zeros((k, 2)), np.zeros(k), x, y),
+        *(
+            lambda x, y, k, fit=fit: fit(x, y, OptimizerConfig(solver=fit.__name__[4:]), "abc"[:k])
+            for fit in (fit_gd, fit_lbfgs, fit_sgd)
+        ),
+    ],
+    ids=["binary_loss_grad", "softmax_loss_grad", "fit_gd", "fit_lbfgs", "fit_sgd"],
+)
+def test_zero_rows_raise_dimension_error(call, k):
+    """A mean loss over no rows is 0/0: every entry point names the empty
+    input instead of returning nan, a zero model, or a divergence."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="at least one row"):
+            call(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), k)
+
+
+@pytest.mark.parametrize("fit", [fit_gd, fit_lbfgs, fit_sgd])
+def test_trainers_reject_a_label_count_unlike_the_row_count(fit):
+    x = np.zeros((3, 2))
+    with pytest.raises(DimensionError, match="3 rows but 2 labels"):
+        fit(x, np.array([0, 1]), OptimizerConfig(solver=fit.__name__[4:]))
 
 
 @st.composite
@@ -208,6 +256,32 @@ def test_fit_gd_loss_path_non_increasing():
     y = rng.integers(0, 2, 30)
     model = fit_gd(x, y, OptimizerConfig(solver="gd", l2=0.01, max_iter=200))
     path = np.array(model.loss_path)
+    assert np.all(np.diff(path) <= 0.0)
+
+
+@st.composite
+def _descent_problems(draw):
+    """A binary or multinomial problem of up to 40 rows, or of one to two
+    blocks of the objective, drawn from a seed: (x, y, l2)."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(_OBJECTIVE_BLOCK + 1, 2 * _OBJECTIVE_BLOCK)))
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([0.5, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = scale * rng.normal(size=(n, d))
+    y = np.argmax(x[:, :1] * np.arange(k) + scale * rng.normal(size=(n, k)), axis=1)
+    return x, y, draw(st.sampled_from([0.0, 0.1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_descent_problems(), st.sampled_from([fit_gd, fit_lbfgs]))
+def test_descent_loss_paths_never_increase(problem, fit):
+    """Every accepted GD or L-BFGS step passes the Armijo test with a
+    descent direction, so no loss on the path exceeds the one before it."""
+    x, y, l2 = problem
+    model = fit(x, y, OptimizerConfig(solver=fit.__name__[4:], l2=l2, max_iter=60))
+    path = np.array(model.loss_path)
+    assert len(path) == model.iterations_used + 1
     assert np.all(np.diff(path) <= 0.0)
 
 
@@ -466,15 +540,21 @@ def _reference_descent(objective, n_params, tol, max_iter, memory):
     return theta, len(path) - 1, path
 
 
-@pytest.mark.parametrize("l2", [0.0, 0.1])
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("solver, memory", [("gd", 0), ("lbfgs", 10)])
-def test_descent_trainers_follow_the_reference_trajectory(solver, memory, k, l2):
+# 80 rows fit in one block of the multinomial objective; the other count
+# takes three blocks, the last one partial
+@pytest.mark.parametrize(
+    "solver, memory, k, l2, n",
+    _with_rows(
+        [(s, m, k, l2) for s, m in (("gd", 0), ("lbfgs", 10)) for k in (2, 3) for l2 in (0.0, 0.1)],
+        [80, 2 * _OBJECTIVE_BLOCK + 5],
+    ),
+)
+def test_descent_trainers_follow_the_reference_trajectory(solver, memory, k, l2, n):
     # features this wide make unit steps overshoot, so the line search halves
     # some GD steps, and L-BFGS runs long enough to drop its oldest pairs
     rng = np.random.default_rng(20 + k)
-    x = 4.0 * rng.normal(size=(80, 4))
-    y = np.argmax(x[:, :k] + 4.0 * rng.normal(size=(80, k)), axis=1)
+    x = 4.0 * rng.normal(size=(n, 4))
+    y = np.argmax(x[:, :k] + 4.0 * rng.normal(size=(n, k)), axis=1)
     cfg = OptimizerConfig(solver=solver, l2=l2, tol=1e-8, max_iter=150)
     model = (fit_gd if solver == "gd" else fit_lbfgs)(x, y, cfg)
     objective, n_params = _packed_objective(x, y, k, l2)
@@ -504,6 +584,25 @@ def test_flipped_labels_flip_predictions():
     assert m_orig.converged and m_flip.converged
     x_new = rng.normal(size=(25, 3))
     assert np.array_equal(predict(m_orig, x_new), 1 - predict(m_flip, x_new))
+
+
+@pytest.mark.parametrize("fit, solver", [(fit_gd, "gd"), (fit_lbfgs, "lbfgs")])
+@pytest.mark.parametrize("k", [3, 4])
+def test_permuted_labels_permute_predictions(fit, solver, k):
+    """Renaming class c to perm[c] permutes the objective's classes, so the
+    fitted weight rows and the predicted classes move the same way."""
+    rng = np.random.default_rng(30 + k)
+    x = rng.normal(size=(60, 3))
+    y = np.argmax(x @ rng.normal(size=(3, k)) + rng.normal(size=(60, k)), axis=1)
+    perm = np.roll(np.arange(k), 1)  # no class keeps its index
+    cfg = OptimizerConfig(solver=solver, l2=0.05, tol=1e-8, max_iter=100_000)
+    m_orig = fit(x, y, cfg)
+    m_perm = fit(x, perm[y], cfg)
+    assert m_orig.converged and m_perm.converged
+    assert np.allclose(m_perm.weights.values[perm], m_orig.weights.values, rtol=0, atol=1e-6)
+    x_new = rng.normal(size=(25, 3))
+    assert np.array_equal(perm[predict(m_orig, x_new)], predict(m_perm, x_new))
+    assert len(set(predict(m_orig, x_new))) > 1
 
 
 def _zero_model(n_classes, d):
