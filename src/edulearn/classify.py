@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateDataError,
     DimensionError,
     DivergenceError,
     ParameterError,
     StalledDescentError,
 )
-from .numcore import DenseMatrix, DenseVector, as_matrix, as_vector
+from .numcore import as_matrix, as_vector, frozen
 
 __all__ = [
     "OptimizerConfig",
@@ -112,24 +113,26 @@ class LogisticModel:
     training loss per accepted iteration (GD/L-BFGS) or per epoch (SGD).
     """
 
-    weights: DenseMatrix
-    intercepts: DenseVector
+    weights: np.ndarray
+    intercepts: np.ndarray
     class_names: tuple[str, ...]
     converged: bool
     iterations_used: int
     loss_path: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", frozen(as_matrix(self.weights)))
+        object.__setattr__(self, "intercepts", frozen(as_vector(self.intercepts)))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if len(self.class_names) < 2:
             raise ParameterError("a logistic model needs at least 2 classes")
         expected_rows = 1 if len(self.class_names) == 2 else len(self.class_names)
-        if self.weights.rows != expected_rows:
+        if self.weights.shape[0] != expected_rows:
             raise DimensionError(
                 f"{len(self.class_names)}-class model needs {expected_rows} weight rows, "
-                f"got {self.weights.rows}"
+                f"got {self.weights.shape[0]}"
             )
-        if len(self.intercepts) != self.weights.rows:
+        if self.intercepts.shape != self.weights.shape[:1]:
             raise DimensionError("one intercept per weight row required")
 
     @property
@@ -138,11 +141,11 @@ class LogisticModel:
 
     @property
     def is_binary(self) -> bool:
-        return self.weights.rows == 1
+        return self.weights.shape[0] == 1
 
     @property
     def n_features(self) -> int:
-        return self.weights.cols
+        return self.weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,8 @@ def sigmoid(z):
 
 
 def _sigmoid(arr: np.ndarray) -> np.ndarray:
-    # sigmoid without the input check, for the objectives: a non-finite
-    # input gives a non-finite output that the trainers' own checks report
+    # sigmoid without the input check, for the objectives and predict_proba:
+    # the trainers and predict_proba check for non-finite values themselves
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
@@ -318,7 +321,7 @@ def binary_loss_grad(weights_and_intercept, x, y, l2: float = 0.0):
     if np.any((yv != 0.0) & (yv != 1.0)):
         raise ParameterError("binary labels must be 0 or 1")
     loss, grad = _binary_value_grad(theta, xm, yv, l2)
-    return loss, DenseVector(grad)
+    return loss, frozen(grad)
 
 
 def softmax_loss_grad(weights, intercepts, x, y, l2: float = 0.0):
@@ -341,7 +344,7 @@ def softmax_loss_grad(weights, intercepts, x, y, l2: float = 0.0):
         raise ParameterError(f"class indices must lie in [0, {k})")
     theta = np.concatenate([wm.ravel(), bv])
     loss, grad = _multinomial_objective(xm, yi, k, l2)(theta)
-    return loss, DenseVector(grad)
+    return loss, frozen(grad)
 
 
 def _check_rows(x: np.ndarray, y: np.ndarray) -> None:
@@ -406,8 +409,8 @@ def _unpack_model(
 ) -> LogisticModel:
     m = 1 if k == 2 else k
     return LogisticModel(
-        weights=DenseMatrix(theta[: m * d].reshape(m, d)),
-        intercepts=DenseVector(theta[m * d :]),
+        weights=theta[: m * d].reshape(m, d),
+        intercepts=theta[m * d :],
         class_names=names,
         converged=converged,
         iterations_used=iterations,
@@ -631,24 +634,27 @@ def train_logistic(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticMode
     return fit_lbfgs(x, y, cfg, class_names)
 
 
-def predict_proba(model: LogisticModel, x) -> DenseMatrix:
-    """Class-1 probabilities (binary, one column) or row-stochastic softmax."""
+def predict_proba(model: LogisticModel, x) -> np.ndarray:
+    """Class-1 probabilities (binary, one column) or row-stochastic softmax;
+    a row whose logits overflow float64 is a DegenerateDataError naming it."""
     xm = as_matrix(x)
     if xm.shape[1] != model.n_features:
         raise DimensionError(
             f"model expects {model.n_features} features, input has {xm.shape[1]}"
         )
-    if model.is_binary:
-        z = xm @ model.weights.values[0] + model.intercepts.values[0]
-        return DenseMatrix(sigmoid(z)[:, None])
-    z = xm @ model.weights.values.T + model.intercepts.values
-    return DenseMatrix(_softmax_rows(z))
+    w, b = model.weights, model.intercepts
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = xm @ w[0] + b[0] if model.is_binary else xm @ w.T + b
+        bad = np.argwhere(~np.isfinite(z))
+        if bad.size:
+            raise DegenerateDataError(f"predict_proba: row {bad[0][0] + 1}: logits overflow")
+        return frozen(_sigmoid(z)[:, None] if model.is_binary else _softmax_rows(z))
 
 
 def predict(model: LogisticModel, x) -> np.ndarray:
     """Class indices; binary threshold 0.5 (boundary to class 1), multinomial
     argmax with lowest-index tie-break."""
-    proba = predict_proba(model, x).values
+    proba = predict_proba(model, x)
     if model.is_binary:
         return (proba[:, 0] >= 0.5).astype(np.int64)
     return np.argmax(proba, axis=1).astype(np.int64)
@@ -660,7 +666,7 @@ def proba_full(model: LogisticModel, x) -> np.ndarray:
     Binary models expand to two columns [1-p, p] so reporting code can
     treat both shapes alike.
     """
-    proba = predict_proba(model, x).values
+    proba = predict_proba(model, x)
     if model.is_binary:
         return np.column_stack([1.0 - proba[:, 0], proba[:, 0]])
     return proba

@@ -18,12 +18,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import data as data_mod
 from . import pipelines
 from .classify import LogisticModel, OptimizerConfig, predict, proba_full
 from .data import ScalerParams, transform
 from .errors import EdulearnError, ParameterError, SchemaError
-from .numcore import DenseMatrix, DenseVector
 
 REPORT_VERSION = 3
 MODEL_VERSION = 1
@@ -177,14 +178,14 @@ def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
         "model_type": "binary" if model.is_binary else "multinomial",
         "class_names": list(model.class_names),
         "feature_names": list(bundle.feature_names),
-        "weights": model.weights.values.tolist(),
-        "intercepts": model.intercepts.values.tolist(),
+        "weights": model.weights.tolist(),
+        "intercepts": model.intercepts.tolist(),
         "converged": bool(model.converged),
         "iterations_used": int(model.iterations_used),
         "config": config_to_doc(opt),
         "scaler": {
-            "means": bundle.scaler.means.values.tolist(),
-            "stds": bundle.scaler.stds.values.tolist(),
+            "means": bundle.scaler.means.tolist(),
+            "stds": bundle.scaler.stds.tolist(),
         },
         "schema": data_mod.schema_to_doc(bundle.schema),
     }
@@ -193,22 +194,20 @@ def model_to_doc(bundle: pipelines.FitBundle, opt: OptimizerConfig) -> dict:
 def model_from_doc(doc) -> pipelines.FitBundle:
     """Rebuild the FitBundle that model_to_doc wrote from model.json.
 
-    A missing, null or wrong-typed field, or lengths that disagree, is a SchemaError.
+    A missing, null or wrong-typed field, a weight or scaler value that is not
+    finite, or lengths that disagree, is a SchemaError.
     """
     if not isinstance(doc, dict) or doc.get("model_version") != MODEL_VERSION:
         raise SchemaError(f"unsupported model document (want model_version {MODEL_VERSION})")
     try:
         model = LogisticModel(
-            weights=DenseMatrix(doc["weights"]),
-            intercepts=DenseVector(doc["intercepts"]),
+            weights=doc["weights"],
+            intercepts=doc["intercepts"],
             class_names=tuple(doc["class_names"]),
             converged=bool(doc["converged"]),
             iterations_used=int(doc["iterations_used"]),
         )
-        scaler = ScalerParams(
-            means=DenseVector(doc["scaler"]["means"]),
-            stds=DenseVector(doc["scaler"]["stds"]),
-        )
+        scaler = ScalerParams(means=doc["scaler"]["means"], stds=doc["scaler"]["stds"])
         task = doc["task"]
         feature_names = tuple(doc["feature_names"])
         columns = tuple(data_mod.schema_from_doc(doc["schema"]))
@@ -216,6 +215,9 @@ def model_from_doc(doc) -> pipelines.FitBundle:
         raise SchemaError(f"model document has no field {exc}") from None
     except (TypeError, ValueError, EdulearnError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
+    arrays = (model.weights, model.intercepts, scaler.means, scaler.stds)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SchemaError("malformed model document: non-finite weights or scaler values")
     if task not in ("style", "academic") or not all(
         isinstance(name, str) for name in model.class_names + feature_names
     ):
@@ -299,9 +301,9 @@ def cmd_predict(args) -> int:
     proba = proba_full(model, x)
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
-    rows = zip(map(str, range(x.rows)), names, *(map(repr, p) for p in proba.T.tolist()))
+    rows = zip(map(str, range(x.shape[0])), names, *(map(repr, p) for p in proba.T.tolist()))
     atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_text([header, *rows]))
-    print(f"wrote {x.rows} predictions to {args.out + OUTPUT_PREDICTIONS}")
+    print(f"wrote {x.shape[0]} predictions to {args.out + OUTPUT_PREDICTIONS}")
     return 0
 
 

@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
     SplitError,
 )
-from .numcore import DenseMatrix, DenseVector, as_matrix
+from .numcore import as_matrix, as_vector, frozen
 
 SCHEMA_VERSION = 1
 COLUMN_KINDS = ("numeric", "categorical", "target", "skip")
@@ -117,27 +117,28 @@ class Dataset:
     prediction inputs the same.
     """
 
-    features: DenseMatrix
+    features: np.ndarray
     targets: np.ndarray
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
     columns: tuple[ColumnSchema, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "features", frozen(as_matrix(self.features)))
         targets = np.array(self.targets, dtype=np.int64)
         targets.setflags(write=False)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "columns", tuple(self.columns))
-        if self.targets.size and self.features.rows != self.targets.shape[0]:
+        rows, cols = self.features.shape
+        if self.targets.size and rows != self.targets.shape[0]:
             raise DimensionError(
-                f"dataset has {self.features.rows} feature rows but {self.targets.shape[0]} targets"
+                f"dataset has {rows} feature rows but {self.targets.shape[0]} targets"
             )
-        if len(self.feature_names) != self.features.cols:
+        if len(self.feature_names) != cols:
             raise DimensionError(
-                f"dataset has {self.features.cols} feature columns but "
-                f"{len(self.feature_names)} feature names"
+                f"dataset has {cols} feature columns but {len(self.feature_names)} feature names"
             )
         if self.targets.size and (
             self.targets.min() < 0 or self.targets.max() >= len(self.class_names)
@@ -146,24 +147,26 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return self.features.rows
+        return self.features.shape[0]
 
     @property
     def labeled(self) -> bool:
-        return self.targets.size == self.features.rows and self.features.rows > 0
+        return self.targets.size == self.n_rows and self.n_rows > 0
 
 
 @dataclass(frozen=True)
 class ScalerParams:
     """Per-column means and standard deviations fit on training rows."""
 
-    means: DenseVector
-    stds: DenseVector
+    means: np.ndarray
+    stds: np.ndarray
 
     def __post_init__(self):
-        if len(self.means) != len(self.stds):
+        object.__setattr__(self, "means", frozen(as_vector(self.means)))
+        object.__setattr__(self, "stds", frozen(as_vector(self.stds)))
+        if self.means.shape != self.stds.shape:
             raise DimensionError("scaler means and stds have different lengths")
-        if np.any(self.stds.values <= 0.0):
+        if np.any(self.stds <= 0.0):
             raise ParameterError("scaler stds must be strictly positive")
 
 
@@ -317,7 +320,7 @@ def _assemble(columns: list[ColumnSchema], values: dict, n_rows: int) -> Dataset
             col = replace(col, allowed_values=categories or None)
         resolved.append(col)
     return Dataset(
-        features=DenseMatrix(features),
+        features=features,
         targets=targets,
         feature_names=tuple(feature_names),
         class_names=class_names,
@@ -333,7 +336,8 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     other names are ignored. Feature columns appear in schema order; each
     categorical expands in place into one indicator column per category.
     With ``require_target=False`` the target may be absent; the dataset then
-    has zero-length targets.
+    has zero-length targets. A numeric value that is not finite is a
+    ParameterError naming its row and column.
     """
     _check_columns(columns)
     target = next(c for c in columns if c.kind == "target")
@@ -351,7 +355,10 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     values: dict = {}
     for col in columns:
         if col.kind == "numeric":
-            values[col.name] = np.asarray(cells[col.name], dtype=np.float64)
+            column = values[col.name] = np.asarray(cells[col.name], dtype=np.float64)
+            if not np.isfinite(column).all():
+                i = np.flatnonzero(~np.isfinite(column))[0]
+                raise ParameterError(f"row {i + 1}, column '{col.name}': {column[i]} is not finite")
         elif col.kind != "skip" and col.name in cells:
             index = _category_index(col)
             values[col.name] = (_category_codes(col, cells[col.name], index), tuple(index))
@@ -523,16 +530,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"split of {n} rows at fraction {spec.train_fraction} leaves an empty side"
         )
     perm = np.random.default_rng(spec.seed).permutation(n)
-    return _take(ds, perm[:n_train]), _take(ds, perm[n_train:])
-
-
-def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(
-        features=DenseMatrix(ds.features.values[idx]),
-        targets=ds.targets[idx],
-        feature_names=ds.feature_names,
-        class_names=ds.class_names,
-        columns=ds.columns,
+    train, test = perm[:n_train], perm[n_train:]
+    return (
+        replace(ds, features=ds.features[train], targets=ds.targets[train]),
+        replace(ds, features=ds.features[test], targets=ds.targets[test]),
     )
 
 
@@ -554,40 +555,41 @@ def fit_scaler(x) -> ScalerParams:
             f"fit_scaler: feature column {bad[0] + 1} is too large to standardize in float64"
         )
     stds = np.where(stds < 1e-12, 1.0, stds)
-    return ScalerParams(means=DenseVector(means), stds=DenseVector(stds))
+    return ScalerParams(means=means, stds=stds)
 
 
-def transform(params: ScalerParams, x) -> DenseMatrix:
+def transform(params: ScalerParams, x) -> np.ndarray:
     """Apply (value - mean) / std columnwise."""
     xm = as_matrix(x)
-    if xm.shape[1] != len(params.means):
+    if xm.shape[1] != params.means.shape[0]:
         raise DimensionError(
-            f"transform: {xm.shape[1]} columns but scaler was fit on {len(params.means)}"
+            f"transform: {xm.shape[1]} columns but scaler was fit on {params.means.shape[0]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (xm - params.means.values) / params.stds.values
+        out = xm - params.means
+        out /= params.stds
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         raise DegenerateDataError(
             f"transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
             "is too large to standardize in float64"
         )
-    return DenseMatrix(out)
+    return frozen(out)
 
 
-def inverse_transform(params: ScalerParams, x) -> DenseMatrix:
+def inverse_transform(params: ScalerParams, x) -> np.ndarray:
     """Undo transform: value * std + mean columnwise."""
     xm = as_matrix(x)
-    if xm.shape[1] != len(params.means):
+    if xm.shape[1] != params.means.shape[0]:
         raise DimensionError(
             f"inverse_transform: {xm.shape[1]} columns but scaler was fit on {len(params.means)}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = xm * params.stds.values + params.means.values
+        out = xm * params.stds + params.means
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         raise DegenerateDataError(
             f"inverse_transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
             "overflows float64"
         )
-    return DenseMatrix(out)
+    return frozen(out)

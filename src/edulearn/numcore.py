@@ -1,8 +1,8 @@
-"""Minimal dense linear algebra used by every other module.
+"""Shape checks, read-only arrays and the symmetric positive definite solver.
 
-Vectors and matrices are immutable wrappers around float64 numpy arrays.
-Construction validates dimensionality and finiteness, so downstream code can
-assume well-formed values after any public operation.
+Every numeric field and return value in edulearn is a C-ordered float64
+ndarray made read-only by ``frozen``. The shape checks check only the number
+of dimensions: finiteness is checked where values enter the program.
 """
 
 from __future__ import annotations
@@ -14,17 +14,34 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularMatrixError
 
-__all__ = [
-    "DenseVector",
-    "DenseMatrix",
-    "as_vector",
-    "as_matrix",
-    "dot",
-    "matvec",
-    "solve_spd",
-]
+__all__ = ["frozen", "as_vector", "as_matrix", "solve_spd"]
 
 
+def frozen(arr) -> np.ndarray:
+    """A read-only view of ``arr`` as a C-ordered float64 array; it copies
+    only an array that is not one already."""
+    view = np.ascontiguousarray(arr, dtype=np.float64).view()
+    view.setflags(write=False)
+    return view
+
+
+def as_vector(x) -> np.ndarray:
+    """``x`` as a 1-D float64 array."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DimensionError(f"expected a vector, got shape {arr.shape}")
+    return arr
+
+
+def as_matrix(x) -> np.ndarray:
+    """``x`` as a 2-D float64 array."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
+    return arr
+
+
+# unused by edulearn: kept, unchanged, while perfbench/tracer.py wraps the two classes below
 def _validated(values, ndim: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != ndim:
@@ -73,42 +90,6 @@ class DenseMatrix:
         return [float(v) for v in self.values.ravel(order="C")]
 
 
-def as_vector(x) -> np.ndarray:
-    """Normalize a DenseVector or 1-D array-like to a float64 ndarray."""
-    if isinstance(x, DenseVector):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {arr.shape}")
-    return arr
-
-
-def as_matrix(x) -> np.ndarray:
-    """Normalize a DenseMatrix or 2-D array-like to a float64 ndarray."""
-    if isinstance(x, DenseMatrix):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
-    return arr
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    av, bv = as_vector(a), as_vector(b)
-    if av.shape[0] != bv.shape[0]:
-        raise DimensionError(f"dot: lengths differ ({av.shape[0]} vs {bv.shape[0]})")
-    return float(av @ bv)
-
-
-def matvec(a, x) -> DenseVector:
-    """Matrix-vector product A @ x."""
-    am, xv = as_matrix(a), as_vector(x)
-    if am.shape[1] != xv.shape[0]:
-        raise DimensionError(f"matvec: {am.shape[0]}x{am.shape[1]} matrix with length-{xv.shape[0]} vector")
-    return DenseVector(am @ xv)
-
-
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor; raises SingularMatrixError at the first bad pivot.
 
@@ -130,7 +111,7 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def solve_spd(a, b) -> DenseVector:
+def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky."""
     am, bv = as_matrix(a), as_vector(b)
     if am.shape[0] != am.shape[1]:
@@ -149,4 +130,4 @@ def solve_spd(a, b) -> DenseVector:
     x = np.zeros(n)
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return DenseVector(x)
+    return frozen(x)

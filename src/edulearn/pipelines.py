@@ -11,7 +11,7 @@ real classrooms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from importlib import resources
 
@@ -34,8 +34,7 @@ from .data import (
     fit_scaler,
     transform,
 )
-from .errors import DimensionError, ParameterError
-from .numcore import DenseMatrix
+from .errors import DegenerateDataError, DimensionError, ParameterError
 
 __all__ = [
     "StyleLabel",
@@ -300,7 +299,8 @@ def build_style_dataset(pairs: list[tuple[StyleSession, StyleLabel]]) -> Dataset
 
 
 def collapse_score_columns(ds: Dataset) -> Dataset:
-    """Replace visual_score/auditory_score columns with their difference."""
+    """Replace visual_score/auditory_score columns with their difference; a
+    difference that overflows float64 is a DegenerateDataError naming its row."""
     names = list(ds.feature_names)
     try:
         vi = names.index("visual_score")
@@ -309,18 +309,16 @@ def collapse_score_columns(ds: Dataset) -> Dataset:
         raise DimensionError(
             "collapse_score_columns needs visual_score and auditory_score columns"
         ) from None
-    x = ds.features.values
-    diff = x[:, vi] - x[:, ai]
+    x = ds.features
+    with np.errstate(over="ignore"):
+        diff = x[:, vi] - x[:, ai]
+    bad = np.flatnonzero(~np.isfinite(diff))
+    if bad.size:
+        raise DegenerateDataError(f"row {bad[0] + 1}: score_diff overflows float64")
     keep = [j for j in range(x.shape[1]) if j not in (vi, ai)]
     new_x = np.column_stack([diff, x[:, keep]]) if keep else diff[:, None]
     new_names = ["score_diff"] + [names[j] for j in keep]
-    return Dataset(
-        features=DenseMatrix(new_x),
-        targets=ds.targets,
-        feature_names=tuple(new_names),
-        class_names=ds.class_names,
-        columns=ds.columns,
-    )
+    return replace(ds, features=new_x, feature_names=new_names)
 
 
 def task_features(task: str, ds: Dataset) -> Dataset:
@@ -343,14 +341,16 @@ def fit_dataset(
     scaler = fit_scaler(train.features)
     x_train = transform(scaler, train.features)
     x_test = transform(scaler, test.features)
-    model = train_logistic(x_train, train.targets, opt, class_names=ds.class_names)
+    y_train, y_test = train.targets, test.targets
+    del train, test  # free the unscaled rows before training
+    model = train_logistic(x_train, y_train, opt, class_names=ds.class_names)
     k = len(ds.class_names)
     report = CaseStudyReport(
         solver=opt.solver,
-        train_metrics=compute_metrics(train.targets, predict(model, x_train), k),
-        test_metrics=compute_metrics(test.targets, predict(model, x_test), k),
+        train_metrics=compute_metrics(y_train, predict(model, x_train), k),
+        test_metrics=compute_metrics(y_test, predict(model, x_test), k),
         class_distribution={
-            name: int((train.targets == i).sum()) for i, name in enumerate(ds.class_names)
+            name: int((y_train == i).sum()) for i, name in enumerate(ds.class_names)
         },
         config_echo=opt,
         data_source=data_source,

@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
 )
-from .numcore import DenseMatrix, DenseVector, as_matrix, as_vector, solve_spd
+from .numcore import as_matrix, as_vector, frozen, solve_spd
 
 __all__ = [
     "LinearModel",
@@ -47,17 +47,19 @@ class LinearModel:
     """
 
     intercept: float
-    coefficients: DenseVector
+    coefficients: np.ndarray
     converged: bool = True
     objective_path: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", frozen(as_vector(self.coefficients)))
+
     def predict(self, x) -> np.ndarray:
         xm = as_matrix(x)
-        if xm.shape[1] != len(self.coefficients):
-            raise DimensionError(
-                f"model has {len(self.coefficients)} coefficients but input has {xm.shape[1]} columns"
-            )
-        return self.intercept + xm @ self.coefficients.values
+        d = self.coefficients.shape[0]
+        if xm.shape[1] != d:
+            raise DimensionError(f"model has {d} coefficients but input has {xm.shape[1]} columns")
+        return self.intercept + xm @ self.coefficients
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def fit_simple(x, y) -> LinearModel:
     if sxx < _DEGENERATE_TOL:
         raise DegenerateDataError("fit_simple: predictor is constant")
     slope = float(((yv - ybar) * (xv - xbar)).sum()) / sxx
-    return LinearModel(intercept=float(ybar - slope * xbar), coefficients=DenseVector([slope]))
+    return LinearModel(intercept=float(ybar - slope * xbar), coefficients=[slope])
 
 
 def fit_multiple(x, y) -> LinearModel:
@@ -101,22 +103,22 @@ def fit_multiple(x, y) -> LinearModel:
         raise ParameterError(f"fit_multiple needs at least {d + 1} rows for {d} predictors")
     g = np.hstack([xm, np.ones((n, 1))])
     try:
-        beta = solve_spd(g.T @ g, g.T @ yv).values
+        beta = solve_spd(g.T @ g, g.T @ yv)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"normal matrix is singular (exactly collinear predictors); "
             f"consider fit_ridge with a small lambda [{exc}]",
             pivot=exc.pivot,
         ) from exc
-    return LinearModel(intercept=float(beta[-1]), coefficients=DenseVector(beta[:-1]))
+    return LinearModel(intercept=float(beta[-1]), coefficients=beta[:-1])
 
 
-def polynomial_features(x, degree: int) -> DenseMatrix:
+def polynomial_features(x, degree: int) -> np.ndarray:
     """Powers x^1 .. x^degree as columns of a design matrix."""
     if degree < 1:
         raise ParameterError(f"degree must be >= 1, got {degree}")
     xv = as_vector(x)
-    return DenseMatrix(np.column_stack([xv**k for k in range(1, degree + 1)]))
+    return frozen(np.column_stack([xv**k for k in range(1, degree + 1)]))
 
 
 def lsr_objective(model: LinearModel, x, y) -> float:
@@ -158,8 +160,8 @@ def fit_ridge(x, y, lam: float) -> LinearModel:
     ybar = yv.mean()
     xc = xm - xbar
     a = xc.T @ xc + lam * np.eye(xm.shape[1])
-    beta = solve_spd(a, xc.T @ (yv - ybar)).values
-    return LinearModel(intercept=float(ybar - beta @ xbar), coefficients=DenseVector(beta))
+    beta = solve_spd(a, xc.T @ (yv - ybar))
+    return LinearModel(intercept=float(ybar - beta @ xbar), coefficients=beta)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -225,7 +227,7 @@ def fit_lasso(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10_000) -> 
 
     return LinearModel(
         intercept=intercept,
-        coefficients=DenseVector(beta),
+        coefficients=beta,
         converged=converged,
         objective_path=tuple(path),
     )

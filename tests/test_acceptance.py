@@ -32,7 +32,6 @@ from edulearn.classify import (
     train_logistic,
 )
 from edulearn.data import SplitSpec, fit_scaler, split, transform
-from edulearn.numcore import DenseMatrix, DenseVector
 from edulearn.pipelines import (
     StageLabel,
     StyleGenConfig,
@@ -86,7 +85,7 @@ def test_criterion_1_gradient_correctness():
         theta = rng.normal(size=d + 1)
         _, grad = binary_loss_grad(theta, x, y, l2)
         fd = _central_diff(lambda t: binary_loss_grad(t, x, y, l2)[0], theta)
-        worst = max(worst, float(np.max(np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1.0))))
+        worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0))))
     for _ in range(20):  # multinomial, K = 3
         n, d, k = int(rng.integers(2, 17)), int(rng.integers(1, 7)), 3
         x = rng.normal(size=(n, d))
@@ -99,7 +98,7 @@ def test_criterion_1_gradient_correctness():
         fd = _central_diff(
             lambda t: softmax_loss_grad(t[: k * d].reshape(k, d), t[k * d :], x, y, l2)[0], theta
         )
-        worst = max(worst, float(np.max(np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1.0))))
+        worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-5
     assert elapsed < 1.0
@@ -119,8 +118,8 @@ def test_criterion_2_closed_form_vs_iterative():
         lb = fit_lbfgs(x, y, OptimizerConfig(solver="lbfgs", l2=l2, tol=1e-8, max_iter=5000))
         assert gd.converged and lb.converged
         gap = max(
-            float(np.max(np.abs(gd.weights.values - lb.weights.values))),
-            float(np.max(np.abs(gd.intercepts.values - lb.intercepts.values))),
+            float(np.max(np.abs(gd.weights - lb.weights))),
+            float(np.max(np.abs(gd.intercepts - lb.intercepts))),
         )
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-4
@@ -133,7 +132,7 @@ def test_criterion_2_closed_form_vs_iterative():
         multiple = fit_multiple(x[:, None], y)
         gap = max(
             abs(simple.intercept - multiple.intercept),
-            abs(simple.coefficients.values[0] - multiple.coefficients.values[0]),
+            abs(simple.coefficients[0] - multiple.coefficients[0]),
         )
         worst_simple = max(worst_simple, gap)
         assert gap <= 1e-10
@@ -153,13 +152,13 @@ def test_criterion_3_least_squares_exactness():
     y = 1.25 - 3.5 * x
     m = fit_simple(x, y)
     assert abs(m.intercept - 1.25) <= 1e-8
-    assert abs(m.coefficients.values[0] + 3.5) <= 1e-8
+    assert abs(m.coefficients[0] + 3.5) <= 1e-8
     # noiseless multiple plane
     xm = rng.normal(size=(12, 3))
     ym = 0.5 + xm @ np.array([2.0, -1.0, 4.0])
     mm = fit_multiple(xm, ym)
     beta_err = max(
-        abs(mm.intercept - 0.5), float(np.max(np.abs(mm.coefficients.values - [2.0, -1.0, 4.0])))
+        abs(mm.intercept - 0.5), float(np.max(np.abs(mm.coefficients - [2.0, -1.0, 4.0])))
     )
     assert beta_err <= 1e-8
     # r^2 equals the squared Pearson correlation for simple regression
@@ -282,7 +281,7 @@ def test_criterion_7_style_pipeline():
     perm = np.random.default_rng(split_spec.seed).permutation(ds.n_rows)
     n_train = math.floor(ds.n_rows * split_spec.train_fraction + 0.5)
     tr, te = perm[:n_train], perm[n_train:]
-    diff, y = ds.features.values[:, 0], ds.targets
+    diff, y = ds.features[:, 0], ds.targets
     cands = np.sort(np.unique(diff[tr]))
     thresholds = np.concatenate([[-np.inf], (cands[:-1] + cands[1:]) / 2, [np.inf]])
     best_acc, best_t = max(
@@ -375,18 +374,18 @@ def test_criterion_10_numerical_hygiene():
     from edulearn.classify import LogisticModel
 
     model = LogisticModel(
-        weights=DenseMatrix(rng.normal(size=(3, 5)) * 3),
-        intercepts=DenseVector(rng.normal(size=3)),
+        weights=rng.normal(size=(3, 5)) * 3,
+        intercepts=rng.normal(size=3),
         class_names=("a", "b", "c"),
         converged=True,
         iterations_used=1,
     )
     x = rng.normal(size=(1000, 5)) * 5
-    proba = predict_proba(model, x).values
+    proba = predict_proba(model, x)
     row_sum_err = float(np.max(np.abs(proba.sum(axis=1) - 1.0)))
     assert row_sum_err <= 1e-12
 
-    logits = x @ model.weights.values.T + model.intercepts.values
+    logits = x @ model.weights.T + model.intercepts
     shifts = rng.normal(size=(1000, 1)) * 50
     assert np.array_equal(
         np.argmax(logits, axis=1), np.argmax(logits + shifts, axis=1)

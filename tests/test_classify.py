@@ -32,7 +32,6 @@ from edulearn.errors import (
     ParameterError,
     StalledDescentError,
 )
-from edulearn.numcore import DenseMatrix, DenseVector
 
 
 def test_sigmoid_examples():
@@ -66,7 +65,7 @@ def test_binary_loss_at_zero_weights():
 
 def test_binary_grad_hand_example():
     loss, grad = binary_loss_grad([0.0, 0.0], [[1.0]], [1.0])
-    assert grad.to_list() == pytest.approx([-0.5, -0.5], abs=1e-15)
+    assert grad.tolist() == pytest.approx([-0.5, -0.5], abs=1e-15)
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
@@ -91,7 +90,7 @@ def test_binary_gradient_matches_finite_differences():
         _, grad = binary_loss_grad(theta, x, y, l2)
         fd = _central_diff(lambda t: binary_loss_grad(t, x, y, l2)[0], theta)
         denom = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(grad.values - fd) / denom) <= 1e-5
+        assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
 
 def test_softmax_loss_at_zero_weights():
@@ -120,7 +119,7 @@ def test_softmax_gradient_matches_finite_differences():
         _, grad = softmax_loss_grad(w, b, x, y, l2)
         fd = _central_diff(value, theta)
         denom = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(grad.values - fd) / denom) <= 1e-5
+        assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
 
 def _softmax_loss_grad_per_row(w, b, x, y, l2):
@@ -171,7 +170,7 @@ def test_softmax_loss_grad_matches_per_row_reference(k, l2, n):
     ref_loss, ref_grad = _softmax_loss_grad_per_row(w, b, x, y, l2)
     assert abs(w @ x[0] + b).max() > 100.0
     assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert np.max(np.abs(grad.values - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -225,7 +224,7 @@ def test_softmax_loss_grad_invariant_to_intercept_shift(problem, shift):
     loss, grad = softmax_loss_grad(w, b, x, y, l2)
     shifted_loss, shifted_grad = softmax_loss_grad(w, b + shift, x, y, l2)
     assert shifted_loss == pytest.approx(loss, rel=1e-12, abs=1e-11)
-    assert np.allclose(shifted_grad.values, grad.values, rtol=0.0, atol=1e-11)
+    assert np.allclose(shifted_grad, grad, rtol=0.0, atol=1e-11)
 
 
 def test_fit_gd_separable_sign():
@@ -234,10 +233,10 @@ def test_fit_gd_separable_sign():
     cfg = OptimizerConfig(solver="gd", l2=0.1, tol=1e-8, max_iter=10_000)
     model = fit_gd(x, y, cfg)
     assert model.converged
-    assert model.weights.values[0, 0] > 0.0
+    assert model.weights[0, 0] > 0.0
     # cross-check against the L-BFGS minimizer of the same strictly convex objective
     ref = fit_lbfgs(x, y, OptimizerConfig(solver="lbfgs", l2=0.1, tol=1e-10))
-    assert model.weights.values[0, 0] == pytest.approx(ref.weights.values[0, 0], abs=1e-4)
+    assert model.weights[0, 0] == pytest.approx(ref.weights[0, 0], abs=1e-4)
 
 
 def test_fit_gd_huge_tol_stops_immediately():
@@ -246,7 +245,7 @@ def test_fit_gd_huge_tol_stops_immediately():
     model = fit_gd(x, y, OptimizerConfig(solver="gd", tol=1e6))
     assert model.iterations_used == 0
     assert model.converged
-    assert model.weights.values.tolist() == [[0.0]]
+    assert model.weights.tolist() == [[0.0]]
     assert model.loss_path[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -291,8 +290,8 @@ def test_fit_sgd_deterministic():
     y = rng.integers(0, 2, 40)
     cfg = OptimizerConfig(solver="sgd", learning_rate=0.05, epochs=10, seed=7)
     m1, m2 = fit_sgd(x, y, cfg), fit_sgd(x, y, cfg)
-    assert np.array_equal(m1.weights.values, m2.weights.values)
-    assert np.array_equal(m1.intercepts.values, m2.intercepts.values)
+    assert np.array_equal(m1.weights, m2.weights)
+    assert np.array_equal(m1.intercepts, m2.intercepts)
 
 
 def test_fit_sgd_zero_epochs():
@@ -301,7 +300,7 @@ def test_fit_sgd_zero_epochs():
     model = fit_sgd(x, y, OptimizerConfig(solver="sgd", epochs=0))
     assert not model.converged
     assert model.iterations_used == 0
-    assert np.all(model.weights.values == 0.0)
+    assert np.all(model.weights == 0.0)
 
 
 # at 1e200 the binary weights overflow to inf within the first epoch
@@ -373,9 +372,9 @@ def _reference_sgd(x, y, cfg):
 def _assert_matches_reference(x, y, cfg):
     weights, intercepts, loss_path = _reference_sgd(x, y, cfg)
     model = fit_sgd(x, y, cfg)
-    got = np.concatenate([model.weights.values.ravel(), model.intercepts.values])
+    got = np.concatenate([model.weights.ravel(), model.intercepts])
     ref = np.concatenate([weights.ravel(), intercepts])
-    assert model.weights.values.shape == weights.shape
+    assert model.weights.shape == weights.shape
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
     assert len(model.loss_path) == len(loss_path) == cfg.epochs
     assert np.all(np.abs(np.subtract(model.loss_path, loss_path)) <= 1e-12 * np.abs(loss_path))
@@ -392,7 +391,7 @@ def test_fit_sgd_matches_per_sample_reference(k, l2, n):
     y = np.arange(n) % k
     cfg = OptimizerConfig(solver="sgd", learning_rate=0.1, l2=l2, epochs=6, seed=3)
     model = _assert_matches_reference(x, y, cfg)
-    assert np.all(model.weights.values != 0.0)
+    assert np.all(model.weights != 0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -409,8 +408,8 @@ def test_fit_sgd_l1_matches_per_sample_reference(k):
 def test_fit_sgd_zero_epochs_gives_zero_weights(k):
     x = np.arange(12.0).reshape(6, 2)
     model = fit_sgd(x, np.arange(6) % k, OptimizerConfig(solver="sgd", epochs=0))
-    assert model.weights.values.shape == (1 if k == 2 else k, 2)
-    assert np.all(model.weights.values == 0.0) and np.all(model.intercepts.values == 0.0)
+    assert model.weights.shape == (1 if k == 2 else k, 2)
+    assert np.all(model.weights == 0.0) and np.all(model.intercepts == 0.0)
     assert model.loss_path == ()
 
 
@@ -433,7 +432,7 @@ def test_fit_sgd_multinomial_runs():
     x = rng.normal(size=(60, 3))
     y = rng.integers(0, 3, 60)
     model = fit_sgd(x, y, OptimizerConfig(solver="sgd", epochs=5, seed=1))
-    assert model.weights.rows == 3
+    assert model.weights.shape[0] == 3
     assert model.iterations_used == 5
 
 
@@ -444,11 +443,11 @@ def test_fit_sgd_l1_soft_threshold_sparsifies():
     # per-step threshold lr*l1 = 0.05 exceeds any per-sample gradient step here,
     # so every coordinate is clamped back to exactly 0
     strong = fit_sgd(x, y, OptimizerConfig(solver="sgd", epochs=20, l1=5.0, seed=2))
-    assert np.all(strong.weights.values == 0.0)
+    assert np.all(strong.weights == 0.0)
     # a mild threshold shrinks without zeroing everything
     mild = fit_sgd(x, y, OptimizerConfig(solver="sgd", epochs=20, l1=0.05, seed=2))
     plain = fit_sgd(x, y, OptimizerConfig(solver="sgd", epochs=20, seed=2))
-    assert np.linalg.norm(mild.weights.values) < np.linalg.norm(plain.weights.values)
+    assert np.linalg.norm(mild.weights) < np.linalg.norm(plain.weights)
 
 
 def test_fit_lbfgs_heavy_l2_converges_fast():
@@ -472,8 +471,8 @@ def test_gd_and_lbfgs_agree_on_strictly_convex_problems():
         lb = fit_lbfgs(x, y, OptimizerConfig(solver="lbfgs", l2=l2, tol=1e-8, max_iter=5000))
         assert gd.converged and lb.converged
         gap = max(
-            np.max(np.abs(gd.weights.values - lb.weights.values)),
-            np.max(np.abs(gd.intercepts.values - lb.intercepts.values)),
+            np.max(np.abs(gd.weights - lb.weights)),
+            np.max(np.abs(gd.intercepts - lb.intercepts)),
         )
         assert gap <= 1e-4
 
@@ -484,7 +483,7 @@ def test_lbfgs_multinomial_matches_gd():
     y = rng.integers(0, 3, 50)
     gd = fit_gd(x, y, OptimizerConfig(solver="gd", l2=0.1, tol=1e-8, max_iter=100_000))
     lb = fit_lbfgs(x, y, OptimizerConfig(solver="lbfgs", l2=0.1, tol=1e-8))
-    assert np.max(np.abs(gd.weights.values - lb.weights.values)) <= 1e-4
+    assert np.max(np.abs(gd.weights - lb.weights)) <= 1e-4
 
 
 def _packed_objective(x, y, k, l2):
@@ -494,12 +493,12 @@ def _packed_objective(x, y, k, l2):
     if k == 2:
         def objective(theta):
             loss, grad = binary_loss_grad(theta, x, y.astype(float), l2)
-            return loss, grad.values
+            return loss, grad
         return objective, d + 1
 
     def objective(theta):
         loss, grad = softmax_loss_grad(theta[: k * d].reshape(k, d), theta[k * d :], x, y, l2)
-        return loss, grad.values
+        return loss, grad
     return objective, k * d + k
 
 
@@ -559,9 +558,9 @@ def test_descent_trainers_follow_the_reference_trajectory(solver, memory, k, l2,
     model = (fit_gd if solver == "gd" else fit_lbfgs)(x, y, cfg)
     objective, n_params = _packed_objective(x, y, k, l2)
     theta, iterations, path = _reference_descent(objective, n_params, cfg.tol, 150, memory)
-    m = model.weights.rows
-    assert model.weights.values.tobytes() == theta[: m * 4].tobytes()
-    assert model.intercepts.values.tobytes() == theta[m * 4 :].tobytes()
+    m = model.weights.shape[0]
+    assert model.weights.tobytes() == theta[: m * 4].tobytes()
+    assert model.intercepts.tobytes() == theta[m * 4 :].tobytes()
     assert (model.iterations_used, model.loss_path) == (iterations, tuple(path))
 
 
@@ -599,7 +598,7 @@ def test_permuted_labels_permute_predictions(fit, solver, k):
     m_orig = fit(x, y, cfg)
     m_perm = fit(x, perm[y], cfg)
     assert m_orig.converged and m_perm.converged
-    assert np.allclose(m_perm.weights.values[perm], m_orig.weights.values, rtol=0, atol=1e-6)
+    assert np.allclose(m_perm.weights[perm], m_orig.weights, rtol=0, atol=1e-6)
     x_new = rng.normal(size=(25, 3))
     assert np.array_equal(perm[predict(m_orig, x_new)], predict(m_perm, x_new))
     assert len(set(predict(m_orig, x_new))) > 1
@@ -608,8 +607,8 @@ def test_permuted_labels_permute_predictions(fit, solver, k):
 def _zero_model(n_classes, d):
     rows = 1 if n_classes == 2 else n_classes
     return LogisticModel(
-        weights=DenseMatrix(np.zeros((rows, d))),
-        intercepts=DenseVector(np.zeros(rows)),
+        weights=np.zeros((rows, d)),
+        intercepts=np.zeros(rows),
         class_names=tuple(str(c) for c in range(n_classes)),
         converged=True,
         iterations_used=0,
@@ -618,22 +617,22 @@ def _zero_model(n_classes, d):
 
 def test_predict_proba_zero_weight_models():
     x = np.ones((4, 2))
-    binary = predict_proba(_zero_model(2, 2), x).values
+    binary = predict_proba(_zero_model(2, 2), x)
     assert np.all(binary == 0.5)
-    multi = predict_proba(_zero_model(3, 2), x).values
+    multi = predict_proba(_zero_model(3, 2), x)
     assert multi == pytest.approx(np.full((4, 3), 1.0 / 3.0), abs=1e-15)
 
 
 def test_predict_proba_rows_sum_to_one():
     rng = np.random.default_rng(13)
     model = LogisticModel(
-        weights=DenseMatrix(rng.normal(size=(3, 4)) * 5),
-        intercepts=DenseVector(rng.normal(size=3)),
+        weights=rng.normal(size=(3, 4)) * 5,
+        intercepts=rng.normal(size=3),
         class_names=("a", "b", "c"),
         converged=True,
         iterations_used=1,
     )
-    proba = predict_proba(model, rng.normal(size=(50, 4))).values
+    proba = predict_proba(model, rng.normal(size=(50, 4)))
     assert np.max(np.abs(proba.sum(axis=1) - 1.0)) <= 1e-12
 
 
@@ -645,8 +644,8 @@ def test_predict_boundary_and_ties():
 
 def test_predict_dominant_logit():
     model = LogisticModel(
-        weights=DenseMatrix([[0.0], [0.0], [4.0]]),
-        intercepts=DenseVector([0.0, 0.0, 1.0]),
+        weights=np.array([[0.0], [0.0], [4.0]]),
+        intercepts=np.array([0.0, 0.0, 1.0]),
         class_names=("a", "b", "c"),
         converged=True,
         iterations_used=1,
@@ -741,7 +740,7 @@ def test_train_logistic_dispatch():
     for solver in ("gd", "sgd", "lbfgs"):
         cfg = OptimizerConfig(solver=solver, epochs=3, max_iter=50)
         model = train_logistic(x, y, cfg)
-        assert model.weights.rows == 1
+        assert model.weights.shape[0] == 1
 
 
 def test_class_names_carried_through():

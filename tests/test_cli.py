@@ -20,7 +20,6 @@ from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics
 from edulearn.data import ColumnSchema, ScalerParams
 from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, main, model_from_doc
-from edulearn.numcore import DenseMatrix, DenseVector
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -62,8 +61,8 @@ def _model_parts(draw):
 def test_model_doc_round_trips_exactly(parts):
     weights, intercepts, means, stds = parts
     class_names = ("a", "b") if len(intercepts) == 1 else ("a", "b", "c")
-    model = LogisticModel(DenseMatrix(weights), DenseVector(intercepts), class_names, True, 1)
-    scaler = ScalerParams(DenseVector(means), DenseVector(stds))
+    model = LogisticModel(weights, intercepts, class_names, True, 1)
+    scaler = ScalerParams(means, stds)
     features = tuple(f"f{j}" for j in range(len(means)))
     schema = (*(ColumnSchema(f, "numeric") for f in features),
               ColumnSchema("Target", "target", class_names))
@@ -77,7 +76,7 @@ def test_model_doc_round_trips_exactly(parts):
         (scaler.means, back.scaler.means),
         (scaler.stds, back.scaler.stds),
     ):
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 _csv_cell = st.one_of(st.text(max_size=6), st.text(alphabet='ab ,"\r\n', max_size=4))
@@ -140,7 +139,7 @@ def test_train_writes_valid_report_and_model(tmp_path):
     bundle = model_from_doc(model_doc)
     assert bundle.task == "academic"
     assert bundle.model.n_classes == 3
-    assert len(bundle.feature_names) == bundle.model.weights.cols
+    assert len(bundle.feature_names) == bundle.model.weights.shape[1]
 
 
 def test_config_doc_echoes_every_optimizer_field():
@@ -460,6 +459,12 @@ def _malformed_model(model_text):
     return json.dumps(doc)
 
 
+def _model_with_nan_weight(model_text):
+    doc = json.loads(model_text)
+    doc["weights"][0][0] = math.nan
+    return json.dumps(doc)
+
+
 def _model_class_name_with_lone_cr(model_text):
     doc = json.loads(model_text)
     doc["class_names"][0] = "audi\rtory"
@@ -494,9 +499,10 @@ def _malformed_model_schema(model_text):
         _model_class_name_with_lone_cr,
         _model_without_schema,
         _model_with_null_schema,
+        _model_with_nan_weight,
     ],
     ids=["missing-fields", "not-json", "wrong-type", "bad-schema", "class-names-not-the-schemas",
-         "no-schema", "null-schema"],
+         "no-schema", "null-schema", "nan-weight"],
 )
 def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
     text = make_doc((style_model / "m_model.json").read_text())
@@ -680,6 +686,51 @@ def test_features_too_large_to_standardize_exit_1(tmp_path):
         assert r.returncode == 1, r.stderr
         assert r.stderr.startswith("error[DegenerateDataError]"), r.stderr
         assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
+
+
+def test_score_diff_overflow_exits_1(style_model, tmp_path):
+    # both scores are finite, but visual_score - auditory_score is 2e308
+    _set_cells(style_model / "d_data.csv", tmp_path / "o_data.csv", "visual_score", {2: "1e308"})
+    _set_cells(tmp_path / "o_data.csv", tmp_path / "o_data.csv", "auditory_score", {2: "-1e308"})
+    for argv in (
+        ["train", "--task", "style", "--input", "o_data.csv", "--json", "--out", "t_"],
+        ["predict", "--model", str(style_model / "m_model.json"), "--input", "o_data.csv",
+         "--out", "p_"],
+    ):
+        r = run_cli(argv, tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error[DegenerateDataError]: row 2: score_diff"), r.stderr
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["o_data.csv"]
+
+
+@pytest.fixture(scope="module")
+def academic_model(tmp_path_factory):
+    """A three-class academic model trained in-process on a small generated set."""
+    work = tmp_path_factory.mktemp("academic_model")
+    assert main(["generate", "--kind", "academic", "--n", "200", "--seed", "4",
+                 "--out", str(work / "d_")]) == 0
+    assert main(["train", "--task", "academic", "--input", str(work / "d_data.csv"),
+                 "--schema", str(work / "d_schema.json"), "--seed", "4",
+                 "--out", str(work / "m_"), "--json"]) == 0
+    return work
+
+
+@pytest.mark.parametrize("model_dir", ["style_model", "academic_model"],
+                         ids=["binary", "multinomial"])
+def test_predict_logit_overflow_exits_1(request, tmp_path, model_dir):
+    # finite weights, so model.json is valid, whose logits overflow float64
+    work = request.getfixturevalue(model_dir)
+    doc = json.loads((work / "m_model.json").read_text())
+    doc["weights"] = [[1e308] * len(row) for row in doc["weights"]]
+    (tmp_path / "big_model.json").write_text(json.dumps(doc))
+    r = run_cli(["predict", "--model", "big_model.json", "--input", str(work / "d_data.csv"),
+                 "--out", "b_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error[DegenerateDataError]: predict_proba: row "), r.stderr
+    assert "logits overflow" in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["big_model.json"]
 
 
 def test_cli_import_leaves_jsonschema_out():

@@ -35,7 +35,6 @@ from edulearn.errors import (
     SchemaError,
     SplitError,
 )
-from edulearn.numcore import DenseMatrix, DenseVector
 
 
 def _write(tmp_path, name, text):
@@ -53,7 +52,7 @@ BASIC_SCHEMA = [
 def test_load_csv_basic(tmp_path):
     path = _write(tmp_path, "d.csv", "x,Target\n1.5,A\n2.5,B\n")
     ds = load_csv(path, BASIC_SCHEMA)
-    assert ds.features.values.tolist() == [[1.5], [2.5]]
+    assert ds.features.tolist() == [[1.5], [2.5]]
     assert ds.targets.tolist() == [0, 1]
     assert ds.feature_names == ("x",)
     assert ds.class_names == ("A", "B")
@@ -67,7 +66,7 @@ def test_load_csv_one_hot(tmp_path):
     path = _write(tmp_path, "d.csv", "color,Target\nred,A\nblue,B\nred,A\n")
     ds = load_csv(path, schema)
     assert ds.feature_names == ("color=red", "color=blue")
-    assert ds.features.values.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert ds.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
 
 def test_load_csv_target_order_is_allowed_values(tmp_path):
@@ -83,7 +82,7 @@ def test_load_csv_target_order_is_allowed_values(tmp_path):
 def test_load_csv_header_order_insensitive(tmp_path):
     path = _write(tmp_path, "d.csv", "Target,x\nA,1.5\nB,2.5\n")
     ds = load_csv(path, BASIC_SCHEMA)
-    assert ds.features.values.tolist() == [[1.5], [2.5]]
+    assert ds.features.tolist() == [[1.5], [2.5]]
 
 
 def test_load_csv_missing_column_named(tmp_path):
@@ -148,7 +147,7 @@ def test_encode_columns_matches_load_csv(tmp_path):
     cells = {"c": ["red", "blue", "red"], "x": [1.5, 2.0, -3.0], "Target": ["yes", "no", "yes"]}
     loaded, encoded = load_csv(path, schema), encode_columns(schema, cells)
     assert encoded.feature_names == loaded.feature_names == ("c=red", "c=blue", "x")
-    assert np.array_equal(encoded.features.values, loaded.features.values)
+    assert np.array_equal(encoded.features, loaded.features)
     assert encoded.targets.tolist() == loaded.targets.tolist() == [0, 1, 0]
     assert encoded.class_names == loaded.class_names == ("yes", "no")
     assert encoded.columns == loaded.columns
@@ -158,7 +157,14 @@ def test_encode_columns_matches_load_csv(tmp_path):
     with pytest.raises(DimensionError):
         encode_columns(schema, {**cells, "x": [1.0]})
     unlabeled = encode_columns(schema, {"c": ["red"], "x": [1.0]}, require_target=False)
-    assert unlabeled.targets.size == 0 and unlabeled.features.rows == 1
+    assert unlabeled.targets.size == 0 and unlabeled.features.shape[0] == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_encode_columns_non_finite_number_names_row_and_column(value):
+    schema = [ColumnSchema("x", "numeric"), ColumnSchema("Target", "target")]
+    with pytest.raises(ParameterError, match=f"^row 2, column 'x': {value} is not finite$"):
+        encode_columns(schema, {"x": [1.0, value], "Target": ["a", "b"]})
 
 
 def test_load_csv_skip_column_excluded(tmp_path):
@@ -176,7 +182,7 @@ def test_load_csv_skip_column_excluded(tmp_path):
 def test_load_csv_without_target(tmp_path):
     path = _write(tmp_path, "d.csv", "x\n1.5\n2.5\n")
     ds = load_csv(path, BASIC_SCHEMA, require_target=False)
-    assert ds.features.rows == 2
+    assert ds.features.shape[0] == 2
     assert ds.targets.size == 0
     assert not ds.labeled
 
@@ -192,7 +198,7 @@ def test_load_csv_quoted_cells(tmp_path):
 
 
 def _assert_same_dataset(a, b):
-    assert np.array_equal(a.features.values, b.features.values)
+    assert np.array_equal(a.features, b.features)
     assert a.targets.tolist() == b.targets.tolist()
     assert a.feature_names == b.feature_names
     assert a.class_names == b.class_names
@@ -358,7 +364,7 @@ def test_load_csv_matches_csv_reader_or_raises_edulearn_error(
 
 def _toy_dataset(n):
     return Dataset(
-        features=DenseMatrix(np.arange(n, dtype=float)[:, None]),
+        features=np.arange(n, dtype=float)[:, None],
         targets=np.zeros(n, dtype=np.int64),
         feature_names=("x",),
         class_names=("A", "B"),
@@ -380,14 +386,14 @@ def test_split_deterministic():
     ds = _toy_dataset(40)
     a1, b1 = split(ds, SplitSpec(0.7, seed=9))
     a2, b2 = split(ds, SplitSpec(0.7, seed=9))
-    assert np.array_equal(a1.features.values, a2.features.values)
-    assert np.array_equal(b1.features.values, b2.features.values)
+    assert np.array_equal(a1.features, a2.features)
+    assert np.array_equal(b1.features, b2.features)
 
 
 def test_split_partitions_rows():
     ds = _toy_dataset(23)
     train, test = split(ds, SplitSpec(0.6, seed=3))
-    seen = sorted(train.features.values[:, 0].tolist() + test.features.values[:, 0].tolist())
+    seen = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())
     assert seen == list(range(23))
 
 
@@ -395,7 +401,7 @@ def test_split_seeds_differ():
     ds = _toy_dataset(20)
     a1, _ = split(ds, SplitSpec(0.5, seed=0))
     a2, _ = split(ds, SplitSpec(0.5, seed=1))
-    assert not np.array_equal(a1.features.values, a2.features.values)
+    assert not np.array_equal(a1.features, a2.features)
 
 
 def test_split_errors():
@@ -409,52 +415,52 @@ def test_split_errors():
 
 def test_fit_scaler_values():
     params = fit_scaler([[1.0], [2.0], [3.0]])
-    assert params.means.to_list() == [2.0]
-    assert params.stds.values[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
+    assert params.means.tolist() == [2.0]
+    assert params.stds[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
 
 def test_fit_scaler_constant_column_clamped():
     params = fit_scaler([[5.0], [5.0], [5.0]])
-    assert params.means.to_list() == [5.0]
-    assert params.stds.to_list() == [1.0]
+    assert params.means.tolist() == [5.0]
+    assert params.stds.tolist() == [1.0]
 
 
 def test_fit_scaler_single_row():
     params = fit_scaler([[0.0]])
-    assert params.means.to_list() == [0.0]
-    assert params.stds.to_list() == [1.0]
+    assert params.means.tolist() == [0.0]
+    assert params.stds.tolist() == [1.0]
 
 
 def test_transform_values():
     x = [[1.0], [2.0], [3.0]]
-    out = transform(fit_scaler(x), x).values[:, 0]
+    out = transform(fit_scaler(x), x)[:, 0]
     assert out == pytest.approx([-1.224745, 0.0, 1.224745], abs=1e-6)
 
 
 def test_transform_standardizes():
     rng = np.random.default_rng(4)
     x = rng.normal(3.0, 2.5, size=(200, 4))
-    out = transform(fit_scaler(x), x).values
+    out = transform(fit_scaler(x), x)
     assert np.max(np.abs(out.mean(axis=0))) <= 1e-9
     assert np.max(np.abs(np.sqrt((out**2).mean(axis=0)) - 1.0)) <= 1e-9
 
 
 def test_transform_identity_params():
-    params = ScalerParams(means=DenseVector([0.0, 0.0]), stds=DenseVector([1.0, 1.0]))
+    params = ScalerParams(means=np.array([0.0, 0.0]), stds=np.array([1.0, 1.0]))
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(transform(params, x).values, x)
+    assert np.array_equal(transform(params, x), x)
 
 
 def test_scaler_round_trip():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(50, 3)) * 10 + 7
     params = fit_scaler(x)
-    back = inverse_transform(params, transform(params, x)).values
+    back = inverse_transform(params, transform(params, x))
     assert np.max(np.abs(back - x)) <= 1e-10
 
 
 def test_inverse_transform_overflow_is_degenerate_data():
-    params = ScalerParams(means=DenseVector([0.0, 1e308]), stds=DenseVector([1.0, 1e300]))
+    params = ScalerParams(means=np.array([0.0, 1e308]), stds=np.array([1.0, 1e300]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateDataError, match="row 2, feature column 2"):
@@ -470,7 +476,7 @@ def test_one_hot_rows_sum_to_one(tmp_path):
         ColumnSchema("Target", "target", allowed_values=("A",)),
     ]
     ds = load_csv(_write(tmp_path, "d.csv", text), schema)
-    assert np.allclose(ds.features.values.sum(axis=1), 1.0)
+    assert np.allclose(ds.features.sum(axis=1), 1.0)
 
 
 def test_schema_round_trip(tmp_path):

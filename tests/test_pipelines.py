@@ -150,7 +150,7 @@ def test_class_level_summary():
 def test_build_style_dataset_shape():
     cfg = StyleGenConfig(n_students=12, sessions_per_student=2, seed=0)
     ds = build_style_dataset(generate_style_sessions(cfg))
-    assert ds.features.rows == 24
+    assert ds.features.shape[0] == 24
     assert ds.feature_names[0] == "score_diff"
     assert len(ds.feature_names) == 6
     assert ds.class_names == ("auditory", "visual")
@@ -168,7 +168,7 @@ def test_style_csv_round_trip_matches_direct(tmp_path):
     loaded = collapse_score_columns(load_csv(path, style_schema()))
     direct = build_style_dataset(pairs)
     assert loaded.feature_names == direct.feature_names
-    assert np.array_equal(loaded.features.values, direct.features.values)
+    assert np.array_equal(loaded.features, direct.features)
     assert np.array_equal(loaded.targets, direct.targets)
 
 
@@ -238,7 +238,7 @@ def test_academic_synthetic_prior_converges():
 def test_academic_synthetic_deterministic():
     a = generate_academic_synthetic(500, seed=9)
     b = generate_academic_synthetic(500, seed=9)
-    assert np.array_equal(a.features.values, b.features.values)
+    assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.targets, b.targets)
 
 
@@ -257,7 +257,7 @@ def test_academic_csv_round_trip_matches_direct(tmp_path):
         loaded = load_csv(path, academic_schema())
         direct = generate_academic_synthetic(n_rows, seed=31)
         assert loaded.feature_names == direct.feature_names
-        assert np.array_equal(loaded.features.values, direct.features.values)
+        assert np.array_equal(loaded.features, direct.features)
         assert np.array_equal(loaded.targets, direct.targets)
 
 

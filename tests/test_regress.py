@@ -13,19 +13,18 @@ from edulearn.regress import (
     polynomial_features,
     r_squared,
 )
-from edulearn.numcore import DenseVector
 
 
 def test_fit_simple_exact_line():
     m = fit_simple([1.0, 2.0, 3.0], [3.0, 5.0, 7.0])
-    assert m.coefficients.values[0] == pytest.approx(2.0, abs=1e-12)
+    assert m.coefficients[0] == pytest.approx(2.0, abs=1e-12)
     assert m.intercept == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_simple_zero_slope():
     # numerator sum((y-ybar)(x-xbar)) is 0 by hand for these points
     m = fit_simple([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    assert m.coefficients.values[0] == pytest.approx(0.0, abs=1e-12)
+    assert m.coefficients[0] == pytest.approx(0.0, abs=1e-12)
     assert m.intercept == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -40,7 +39,7 @@ def test_fit_multiple_noiseless_plane():
     y = 1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 1]
     m = fit_multiple(x, y)
     assert m.intercept == pytest.approx(1.0, abs=1e-8)
-    assert m.coefficients.values == pytest.approx([2.0, 3.0], abs=1e-8)
+    assert m.coefficients == pytest.approx([2.0, 3.0], abs=1e-8)
 
 
 def test_fit_multiple_duplicate_column_suggests_ridge():
@@ -69,13 +68,13 @@ def test_fit_simple_matches_single_column_multiple():
     simple = fit_simple(x, y)
     multiple = fit_multiple(x[:, None], y)
     assert abs(simple.intercept - multiple.intercept) <= 1e-10
-    assert abs(simple.coefficients.values[0] - multiple.coefficients.values[0]) <= 1e-10
+    assert abs(simple.coefficients[0] - multiple.coefficients[0]) <= 1e-10
 
 
 def test_polynomial_features_examples():
-    assert polynomial_features([2.0], 3).values.tolist() == [[2.0, 4.0, 8.0]]
-    assert polynomial_features([1.0, 1.0], 4).values.tolist() == [[1.0] * 4, [1.0] * 4]
-    assert polynomial_features([-1.0], 2).values.tolist() == [[-1.0, 1.0]]
+    assert polynomial_features([2.0], 3).tolist() == [[2.0, 4.0, 8.0]]
+    assert polynomial_features([1.0, 1.0], 4).tolist() == [[1.0] * 4, [1.0] * 4]
+    assert polynomial_features([-1.0], 2).tolist() == [[-1.0, 1.0]]
     with pytest.raises(ParameterError):
         polynomial_features([1.0], 0)
 
@@ -86,7 +85,7 @@ def test_lsr_objective_values():
     m = fit_simple(x[:, 0], y)
     assert lsr_objective(m, x, y) == pytest.approx(0.0, abs=1e-20)
 
-    zero = LinearModel(intercept=0.0, coefficients=DenseVector([0.0]))
+    zero = LinearModel(intercept=0.0, coefficients=np.array([0.0]))
     assert lsr_objective(zero, [[1.0], [1.0]], [3.0, 4.0]) == 25.0
 
 
@@ -99,7 +98,7 @@ def test_lsr_objective_is_minimized_at_fit():
     for _ in range(10):
         bumped = LinearModel(
             intercept=m.intercept + rng.normal() * 0.1,
-            coefficients=DenseVector(m.coefficients.values + rng.normal(size=3) * 0.1),
+            coefficients=m.coefficients + rng.normal(size=3) * 0.1,
         )
         assert lsr_objective(bumped, x, y) >= base
 
@@ -109,7 +108,7 @@ def test_r_squared_perfect_and_baseline():
     y = np.array([3.0, 5.0, 7.0])
     assert r_squared(fit_simple(x[:, 0], y), x, y) == pytest.approx(1.0, abs=1e-12)
 
-    baseline = LinearModel(intercept=float(y.mean()), coefficients=DenseVector([0.0]))
+    baseline = LinearModel(intercept=float(y.mean()), coefficients=np.array([0.0]))
     assert r_squared(baseline, x, y) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_r_squared_equals_squared_pearson():
 
 
 def test_r_squared_constant_target():
-    m = LinearModel(intercept=0.0, coefficients=DenseVector([1.0]))
+    m = LinearModel(intercept=0.0, coefficients=np.array([1.0]))
     with pytest.raises(DegenerateDataError):
         r_squared(m, [[1.0], [2.0]], [4.0, 4.0])
 
@@ -144,7 +143,7 @@ def test_ridge_zero_lambda_matches_ols():
     ols = fit_multiple(x, y)
     ridge = fit_ridge(x, y, 0.0)
     assert ridge.intercept == pytest.approx(ols.intercept, abs=1e-8)
-    assert ridge.coefficients.values == pytest.approx(ols.coefficients.values, abs=1e-8)
+    assert ridge.coefficients == pytest.approx(ols.coefficients, abs=1e-8)
 
 
 def test_ridge_infinite_penalty_limit():
@@ -153,9 +152,7 @@ def test_ridge_infinite_penalty_limit():
     y = 2.0 + x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=30) * 0.1
     ols = fit_multiple(x, y)
     heavy = fit_ridge(x, y, 1e9)
-    assert np.max(np.abs(heavy.coefficients.values)) <= 1e-6 * np.max(
-        np.abs(ols.coefficients.values)
-    )
+    assert np.max(np.abs(heavy.coefficients)) <= 1e-6 * np.max(np.abs(ols.coefficients))
     assert heavy.intercept == pytest.approx(float(y.mean()), abs=1e-6)
 
 
@@ -163,7 +160,7 @@ def test_ridge_fixes_exact_collinearity():
     x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
     m = fit_ridge(x, y, 1e-3)
-    assert np.all(np.isfinite(m.coefficients.values))
+    assert np.all(np.isfinite(m.coefficients))
 
 
 def test_ridge_shrinkage_monotone():
@@ -172,7 +169,7 @@ def test_ridge_shrinkage_monotone():
         x = rng.normal(size=(40, 4))
         y = rng.normal(size=40)
         lambdas = [0.0, 0.1, 1.0, 10.0, 100.0]
-        norms = [np.linalg.norm(fit_ridge(x, y, lam).coefficients.values) for lam in lambdas]
+        norms = [np.linalg.norm(fit_ridge(x, y, lam).coefficients) for lam in lambdas]
         for small, large in zip(norms, norms[1:]):
             assert small >= large - 1e-12
 
@@ -189,7 +186,7 @@ def test_lasso_zero_lambda_matches_ols():
     lasso = fit_lasso(x, y, 0.0, tol=tol)
     ols = fit_multiple(x, y)
     assert lasso.converged
-    assert np.max(np.abs(lasso.coefficients.values - ols.coefficients.values)) <= 10 * tol
+    assert np.max(np.abs(lasso.coefficients - ols.coefficients)) <= 10 * tol
 
 
 def test_lasso_deactivation_bound():
@@ -198,7 +195,7 @@ def test_lasso_deactivation_bound():
     y = 0.5 + x @ np.array([2.0, -1.0, 0.0, 0.3]) + rng.normal(size=40) * 0.2
     bound = np.max(np.abs(x.T @ (y - y.mean()))) / len(y)
     m = fit_lasso(x, y, bound * 1.0001)
-    assert np.all(m.coefficients.values == 0.0)
+    assert np.all(m.coefficients == 0.0)
     assert m.intercept == pytest.approx(float(y.mean()), abs=1e-9)
 
 
@@ -211,7 +208,7 @@ def test_lasso_one_dimensional_soft_threshold():
     # closed form: soft-threshold of the OLS slope (unit column variance)
     rho = float(x[:, 0] @ (y - y.mean())) / len(y)
     expected = np.sign(rho) * max(abs(rho) - lam, 0.0) / float((x**2).mean())
-    assert m.coefficients.values[0] == pytest.approx(expected, abs=1e-9)
+    assert m.coefficients[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_lasso_objective_path_non_increasing():
