@@ -17,12 +17,13 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain, islice
 
 import numpy as np
 
 from . import data as data_mod
 from . import pipelines
-from .classify import LogisticModel, OptimizerConfig, predict, proba_full
+from .classify import LogisticModel, OptimizerConfig, proba_full
 from .data import ScalerParams, transform
 from .errors import EdulearnError, ParameterError, SchemaError
 
@@ -71,9 +72,23 @@ def _csv_text(rows: list) -> str:
     return buf.getvalue()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename, so a failed
-    write never leaves a partial file behind."""
+# rows that _csv_pieces formats at a time
+_WRITE_ROWS = 8192
+
+
+def _csv_pieces(rows):
+    """_csv_text of ``rows`` (an iterable), one piece per _WRITE_ROWS rows, so
+    a large file is never held whole as Python strings. csv.writer formats
+    each row on its own, so the pieces join to the whole file's text."""
+    rows = iter(rows)
+    while block := list(islice(rows, _WRITE_ROWS)):
+        yield _csv_text(block)
+
+
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, or each piece of an iterable of text, via a temp file
+    in the target directory plus rename, so a failed write never leaves a
+    partial file behind."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -84,7 +99,7 @@ def atomic_write_text(path: str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -254,7 +269,7 @@ def cmd_generate(args, seed: int) -> int:
 
     csv_path = args.out + OUTPUT_DATA
     schema_path = args.out + OUTPUT_SCHEMA
-    atomic_write_text(csv_path, _csv_text([header, *rows]))
+    atomic_write_text(csv_path, _csv_pieces(chain([header], rows)))
     schema_text = dumps_canonical(data_mod.schema_to_doc(schema)) + "\n"
     atomic_write_text(schema_path, schema_text)
     print(f"wrote {len(rows)} rows to {csv_path} (schema: {schema_path})")
@@ -296,14 +311,17 @@ def cmd_predict(args) -> int:
         raise SchemaError(
             f"input features do not match the model (missing {missing}, unexpected {extra})"
         )
-    x = transform(bundle.scaler, ds.features)
-    names = [model.class_names[k] for k in predict(model, x).tolist()]
-    proba = proba_full(model, x)
+    proba = proba_full(model, transform(bundle.scaler, ds.features))
+    del raw, ds  # the input's features, no longer needed while the file is written
+    # classify.predict's rules: p >= 0.5 is class 1, and argmax takes the
+    # lowest index on a tie
+    classes = (proba[:, 1] >= 0.5).astype(np.int64) if model.is_binary else proba.argmax(axis=1)
+    names = [model.class_names[k] for k in classes.tolist()]
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
-    rows = zip(map(str, range(x.shape[0])), names, *(map(repr, p) for p in proba.T.tolist()))
-    atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_text([header, *rows]))
-    print(f"wrote {x.shape[0]} predictions to {args.out + OUTPUT_PREDICTIONS}")
+    rows = zip(map(str, range(len(names))), names, *(map(repr, p) for p in proba.T.tolist()))
+    atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_pieces(chain([header], rows)))
+    print(f"wrote {len(names)} predictions to {args.out + OUTPUT_PREDICTIONS}")
     return 0
 
 

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edulearn import cli, pipelines
-from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics
-from edulearn.data import ColumnSchema, ScalerParams
+from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, proba_full
+from edulearn.data import ColumnSchema, ScalerParams, load_csv, transform
 from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, main, model_from_doc
 
@@ -89,6 +90,15 @@ def test_csv_text_is_what_csv_writer_writes(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     assert cli._csv_text(rows) == buf.getvalue()
+
+
+@given(st.lists(st.lists(_csv_cell, max_size=4), max_size=9), st.integers(1, 4))
+@example([["row", "p_a"], ["0", "0.5"], ["1", "a,b"], ["2", "0.25"]], 2)
+def test_csv_pieces_join_to_what_csv_writer_writes(rows, block_rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with mock.patch.object(cli, "_WRITE_ROWS", block_rows):
+        assert "".join(cli._csv_pieces(iter(rows))) == buf.getvalue()
 
 
 def test_dumps_canonical_shapes():
@@ -284,6 +294,52 @@ def test_predict_csv_quotes_class_names(tmp_path, monkeypatch):
     assert len(rows) == 40
     assert all(len(row) == 2 + len(classes) for row in rows)
     assert {row[1] for row in rows} == set(classes)
+
+
+@pytest.mark.parametrize(
+    "classes", [["pass", "fail", "late"], ["drop, early", "pass"]], ids=["plain", "comma"]
+)
+def test_predictions_csv_in_blocks_is_what_csv_writer_writes(tmp_path, monkeypatch, classes):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_WRITE_ROWS", 3)
+    with open("q.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["x", "Target"]] + [
+            [i % 3 + 0.1 * (i % 7), classes[i % len(classes)]] for i in range(20)
+        ])
+    (tmp_path / "q.schema.json").write_text(json.dumps({
+        "schema_version": 1,
+        "columns": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "Target", "kind": "target", "allowed_values": classes},
+        ],
+    }))
+    assert main(["train", "--task", "academic", "--input", "q.csv", "--schema", "q.schema.json",
+                 "--l2", "0.1", "--json", "--out", "q_"]) == 0
+    assert main(["predict", "--model", "q_model.json", "--input", "q.csv", "--out", "q_"]) == 0
+    bundle = model_from_doc(json.loads((tmp_path / "q_model.json").read_text()))
+    x = transform(bundle.scaler, load_csv("q.csv", bundle.schema).features)
+    names = [classes[k] for k in predict(bundle.model, x).tolist()]
+    proba = proba_full(bundle.model, x).tolist()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["row", "predicted_class", *(f"p_{name}" for name in classes)]]
+        + [[str(i), names[i], *map(repr, proba[i])] for i in range(20)]
+    )
+    assert (tmp_path / "q_predictions.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_predict_writes_class_1_at_probability_one_half(style_model, tmp_path):
+    # zero weights and intercept: every row's class-1 probability is exactly 0.5
+    doc = json.loads((style_model / "m_model.json").read_text())
+    doc["weights"] = [[0.0] * len(row) for row in doc["weights"]]
+    doc["intercepts"] = [0.0]
+    (tmp_path / "half_model.json").write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(tmp_path / "half_model.json"),
+                 "--input", str(style_model / "d_data.csv"), "--out", str(tmp_path / "h_")]) == 0
+    with open(tmp_path / "h_predictions.csv", encoding="utf-8", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    assert len(rows) == 30
+    assert all(row[1:] == [doc["class_names"][1], "0.5", "0.5"] for row in rows)
 
 
 def test_train_saves_categories_of_prefix_sharing_columns(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edulearn import data as data_mod
@@ -218,10 +218,14 @@ _FIRST_ROW = {"split": "1.0,A\n", "csv-reader": '"1.0",A\n'}
         ("", ParseError, "row {row} has 0 values, expected 2"),
         ("oops,B", ParseError, "row {row}, column 'x': cannot parse 'oops' as a number"),
         ("inf,B", ParseError, "row {row}, column 'x': non-finite value 'inf'"),
+        ("nan,B", ParseError, "row {row}, column 'x': non-finite value 'nan'"),
         ("1.0,C", LabelError, "row {row}, target 'Target': value 'C' not in allowed_values"),
         ("y" * 131_073 + ",A", ParseError, "line {line}: field larger than field limit (131072)"),
     ],
-    ids=["extra-field", "missing-field", "blank-line", "bad-number", "inf", "label", "over-limit"],
+    ids=[
+        "extra-field", "missing-field", "blank-line", "bad-number", "inf", "nan", "label",
+        "over-limit",
+    ],
 )
 def test_load_csv_error_past_the_first_chunk_names_file_and_row(
     tmp_path, path_kind, row, error, message
@@ -296,11 +300,23 @@ def _reference_load(path, schema, require_target):
         return None
 
 
-# per column: plain cells, cells that quote or hold a quote, and faulty cells
+# per column: plain cells, cells that quote or hold a quote, and faulty cells.
+# The pools include cells on which numpy's text reader and float() or
+# str.split could disagree: non-ASCII digits, Unicode and ASCII padding, '#'
+# (numpy's default comment mark) and control characters. float() rejects the
+# padding \x1c-\x1f, which numpy's reader strips, so those are faults.
 _PROPERTY_CELLS = {
     "id": (["r1", "", "r 2"], ['"q,r"', '"r1"'], []),
-    "x": (["1.5", "-2", "0", " 4", "1e3", "1_0"], ['"3.5"'], ["", "nan", "inf", "1e999", "oops"]),
-    "c": (["red", "blue", "green", "", "yes\x00"], ['"red"', '"a,b"', '"x""y"', 'x"y'], ["pink"]),
+    "x": (
+        ["1.5", "-2", "0", " 4", "1e3", "1_0", "١٢", "\xa04\xa0", "+.5", " 4 "],
+        ['"3.5"'],
+        ["", "nan", "inf", "1e999", "oops", "\x1c4", "4\x1f"],
+    ),
+    "c": (
+        ["red", "blue", "green", "", "yes\x00", "#red", "a#b", "a\x0bb", "a b"],
+        ['"red"', '"a,b"', '"x""y"', 'x"y'],
+        ["pink"],
+    ),
     "Target": (["A", "B"], ['"A"', '"B\r\nB"'], ["C", '"\r"']),
 }
 
@@ -337,7 +353,10 @@ def _csv_texts(draw):
 @settings(deadline=None, max_examples=300)
 @given(
     _csv_texts(),
-    st.sampled_from([None, ("red", "blue", "green", "a,b", 'x"y', "", "yes\x00")]),
+    st.sampled_from([
+        None,
+        ("red", "blue", "green", "a,b", 'x"y', "", "yes\x00", "#red", "a#b", "a\x0bb", "a b"),
+    ]),
     st.sampled_from([None, ("A", "B")]),
     st.booleans(),
     st.sampled_from([1, 2, 3, 8192]),
@@ -360,6 +379,107 @@ def test_load_csv_matches_csv_reader_or_raises_edulearn_error(
                 load_csv(path, schema, require_target)
         else:
             _assert_same_dataset(load_csv(path, schema, require_target), expected)
+
+
+# the first fault in a row is the one in the earliest schema column
+_COLOR = ColumnSchema("c", "categorical", ("red", "blue"))
+_LABEL_THEN_NUMBER = [_COLOR, *BASIC_SCHEMA]
+_NUMBER_THEN_LABEL = [BASIC_SCHEMA[0], _COLOR, BASIC_SCHEMA[1]]
+
+
+@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        (_LABEL_THEN_NUMBER, "row 3, column 'c': value 'pink' not in allowed_values"),
+        (_NUMBER_THEN_LABEL, "row 3, column 'x': cannot parse 'oops' as a number"),
+    ],
+    ids=["label-first", "number-first"],
+)
+def test_load_csv_reports_the_fault_of_the_earlier_schema_column(
+    tmp_path, path_kind, schema, message
+):
+    first = {"split": "red,1.0,A\n", "csv-reader": 'red,"1.0",A\n'}[path_kind]
+    text = "c,x,Target\n" + first + "blue,2.0,B\npink,oops,A\nred,1.0,B\n"
+    path = _write(tmp_path, "d.csv", text)
+    with pytest.raises((LabelError, ParseError), match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_csv(path, schema)
+
+
+@pytest.mark.parametrize(
+    "schema, require_target, text, cells",
+    [
+        (
+            [ColumnSchema("c", "categorical"), ColumnSchema("Target", "target")],
+            True,
+            "c,Target\nred,A\nblue,B\nred,B\n",
+            {"c": ["red", "blue", "red"], "Target": ["A", "B", "B"]},
+        ),
+        (
+            [ColumnSchema("id", "skip"), *BASIC_SCHEMA],
+            False,
+            "id,x\nr1,1.5\nr2,-2\nr3,1e3\n",
+            {"x": [1.5, -2.0, 1e3]},
+        ),
+    ],
+    ids=["no-numeric-column", "no-categorical-column"],
+)
+def test_load_csv_schema_without_a_column_kind(tmp_path, schema, require_target, text, cells):
+    ds = load_csv(_write(tmp_path, "d.csv", text), schema, require_target)
+    _assert_same_dataset(ds, encode_columns(schema, cells, require_target))
+
+
+_FLOAT_CASES = [5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -0.0, 0.0,
+                0.1 + 0.2, 1 / 3, 1.7976931348623157e308, -1e-320, 2.0**53 + 2.0]
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example(_FLOAT_CASES)
+def test_load_csv_reads_float_reprs_bit_exact(tmp_path_factory, values):
+    # repr is the shortest round-tripping form; %.17g is 17 digits, often longer
+    rows = "".join(f"{v!r},{v:.17g}\n" for v in values)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text("x,y\n" + rows, encoding="utf-8")
+    schema = [ColumnSchema("x", "numeric"), ColumnSchema("y", "numeric"),
+              ColumnSchema("Target", "target", ("A",))]
+    ds = load_csv(path, schema, require_target=False)
+    want = np.array(values, dtype=np.float64).view(np.int64)
+    assert ds.features[:, 0].view(np.int64).tolist() == want.tolist()
+    assert ds.features[:, 1].view(np.int64).tolist() == want.tolist()
+
+
+_NUMBER_TEXT = "0123456789+-.eE_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003١٢infaINF\x00"
+
+
+def _number_fault(row, cell):
+    """load_csv's message for number cell ``cell`` at ``row``, or None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return f"row {row}, column 'x': cannot parse '{cell}' as a number"
+    return None if math.isfinite(value) else f"row {row}, column 'x': non-finite value '{cell}'"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.text(_NUMBER_TEXT, max_size=6), min_size=1, max_size=6))
+@example(["1.5", "\x1c4"])
+@example(["4\x1f", "1_0"])
+@example(["+.5", "\xa04\xa0", "١٢", " 4 ", "\u20034", "4\x85"])
+def test_load_csv_reads_numbers_as_float_does(tmp_path_factory, cells):
+    """Every number cell loads to float()'s value; the first cell float()
+    rejects, or reads as not finite, is the ParseError."""
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text("x\n" + "".join(f"{c}\n" for c in cells), encoding="utf-8")
+    faults = [f for f in map(_number_fault, range(1, len(cells) + 1), cells) if f]
+    if "" in cells:  # a row of one empty cell is a blank line, found before any number
+        faults.insert(0, f"row {cells.index('') + 1} has 0 values, expected 1")
+    if not faults:
+        ds = load_csv(path, BASIC_SCHEMA, require_target=False)
+        assert ds.features[:, 0].tobytes() == np.array(list(map(float, cells))).tobytes()
+        return
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {faults[0]}')}$"):
+        load_csv(path, BASIC_SCHEMA, require_target=False)
 
 
 def _toy_dataset(n):
