@@ -297,7 +297,9 @@ def _target_terms(xt: np.ndarray, y: np.ndarray, k: int):
 
 def _multinomial_objective(x: np.ndarray, y: np.ndarray, k: int, l2: float):
     """The multinomial objective of one training set as a function of the
-    packed parameters; the transpose and the target terms are built once."""
+    packed parameters; the transpose and the target terms are built once.
+    The transpose is no copy when ``x`` is the ``.T`` view of a C-ordered
+    d x n matrix, as fit_dataset passes it."""
     xt = np.ascontiguousarray(x.T)
     target_sums, counts = _target_terms(xt, y, k)
 
@@ -371,15 +373,15 @@ def _resolve_classes(y: np.ndarray, class_names) -> tuple[tuple[str, ...], int]:
 
 def _fit_inputs(solver: str, x, y, cfg: OptimizerConfig, class_names):
     """Shared trainer preamble: the solver guard and the row checks, then the
-    C-ordered matrix, integer labels, class names, class count, objective and
-    parameter count.
+    matrix (as given, in either memory order), integer labels, class names,
+    class count, objective and parameter count.
 
     The guard stops a config meant for another solver (say an sgd config
     with l1 > 0) from being run, and its settings ignored, by this one.
     """
     if cfg.solver != solver:
         raise ParameterError(f"fit_{solver} called with solver '{cfg.solver}'")
-    xm = np.ascontiguousarray(as_matrix(x))
+    xm = as_matrix(x)
     yi = np.asarray(y, dtype=np.int64)
     _check_rows(xm, yi)
     names, k = _resolve_classes(yi, class_names)
@@ -387,11 +389,14 @@ def _fit_inputs(solver: str, x, y, cfg: OptimizerConfig, class_names):
 
 
 def _make_objective(x: np.ndarray, y: np.ndarray, k: int, l2: float):
+    """The objective and its parameter count. The binary one reads a
+    C-ordered copy of a transposed ``x``: its products on the transposed
+    layout round differently in the last bits."""
     if k == 2:
-        yb = y.astype(np.float64)
+        xc, yb = np.ascontiguousarray(x), y.astype(np.float64)
 
         def objective(theta):
-            return _binary_value_grad(theta, x, yb, l2)
+            return _binary_value_grad(theta, xc, yb, l2)
 
         return objective, x.shape[1] + 1
 
@@ -585,6 +590,7 @@ def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     (see _sgd_epoch_blocked); the result is the per-sample one up to rounding.
     """
     xm, yi, names, k, objective, n_params = _fit_inputs("sgd", x, y, cfg, class_names)
+    xm = np.ascontiguousarray(xm)  # the per-row steps read rows
     n, d = xm.shape
     lr = cfg.learning_rate
     c = 1.0 - lr * cfg.l2  # the l2 part of each per-sample step shrinks the weights by c

@@ -262,7 +262,7 @@ def cmd_generate(args, seed: int) -> int:
         )
         columns = pipelines.style_session_columns(pipelines.generate_style_sessions(cfg))
         header, rows = list(columns), list(zip(*(map(str, c) for c in columns.values())))
-        schema = pipelines.style_schema()
+        schema, n = pipelines.style_schema(), len(rows)
     else:
         header, rows = pipelines.academic_csv_rows(n, seed)
         schema = pipelines.academic_schema()
@@ -272,7 +272,7 @@ def cmd_generate(args, seed: int) -> int:
     atomic_write_text(csv_path, _csv_pieces(chain([header], rows)))
     schema_text = dumps_canonical(data_mod.schema_to_doc(schema)) + "\n"
     atomic_write_text(schema_path, schema_text)
-    print(f"wrote {len(rows)} rows to {csv_path} (schema: {schema_path})")
+    print(f"wrote {n} rows to {csv_path} (schema: {schema_path})")
     return 0
 
 
@@ -289,8 +289,16 @@ def _build_optimizer(args, seed: int) -> OptimizerConfig:
 def cmd_train(args, seed: int) -> int:
     opt = _build_optimizer(args, seed)
     split_spec = data_mod.SplitSpec(train_fraction=args.train_fraction, seed=seed)
-    ds, data_source = pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed)
-    report, bundle = pipelines.fit_dataset(ds, opt, split_spec, data_source, args.task)
+    data_source = "synthetic" if args.input is None else "external"
+    # fit_dataset frees the unsplit rows only when it holds the last
+    # reference to the dataset, so no variable here keeps one
+    report, bundle = pipelines.fit_dataset(
+        pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed)[0],
+        opt,
+        split_spec,
+        data_source,
+        args.task,
+    )
 
     doc = report_to_doc(report, args.task, bundle.model.class_names, args.train_fraction)
     atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")

@@ -57,6 +57,7 @@ __all__ = [
     "read_schema",
     "encode_columns",
     "load_csv",
+    "split_indices",
     "split",
     "fit_scaler",
     "transform",
@@ -115,6 +116,9 @@ class Dataset:
     categorical and target value set pinned to the order the data showed.
     Saving it with a model keeps the one-hot column order of later
     prediction inputs the same.
+
+    The fields are read-only views: of the given arrays themselves when the
+    features are C-ordered float64 and the targets int64, else of copies.
     """
 
     features: np.ndarray
@@ -125,7 +129,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "features", frozen(as_matrix(self.features)))
-        targets = np.array(self.targets, dtype=np.int64)
+        targets = np.asarray(self.targets, dtype=np.int64).view()
         targets.setflags(write=False)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -578,9 +582,11 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
             return _encode_chunks(path, columns, require_target, _reader_chunks(fh, path))
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Seeded uniform row split; train size is round-half-up of rows*fraction."""
-    n = ds.n_rows
+def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The train and test row indices of a seeded uniform split of ``n``
+    rows: a permutation seeded with ``spec.seed``, whose first
+    round-half-up(n * train_fraction) rows are the train side. A side left
+    empty is a SplitError."""
     if n < 2:
         raise SplitError(f"need at least 2 rows to split, got {n}")
     n_train = math.floor(n * spec.train_fraction + 0.5)
@@ -589,7 +595,12 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"split of {n} rows at fraction {spec.train_fraction} leaves an empty side"
         )
     perm = np.random.default_rng(spec.seed).permutation(n)
-    train, test = perm[:n_train], perm[n_train:]
+    return perm[:n_train], perm[n_train:]
+
+
+def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    """Seeded uniform row split of split_indices."""
+    train, test = split_indices(ds.n_rows, spec)
     return (
         replace(ds, features=ds.features[train], targets=ds.targets[train]),
         replace(ds, features=ds.features[test], targets=ds.targets[test]),
@@ -607,7 +618,9 @@ def fit_scaler(x) -> ScalerParams:
         raise DimensionError("fit_scaler needs at least one row")
     with np.errstate(over="ignore", invalid="ignore"):
         means = xm.mean(axis=0)
-        stds = np.sqrt(np.mean((xm - means) ** 2, axis=0))
+        sq = xm - means  # the one temporary the size of x, squared in place
+        np.multiply(sq, sq, out=sq)
+        stds = np.sqrt(np.mean(sq, axis=0))
     bad = np.flatnonzero(~np.isfinite(stds))  # a non-finite mean leaves its std non-finite
     if bad.size:
         raise DegenerateDataError(
@@ -624,8 +637,15 @@ def transform(params: ScalerParams, x) -> np.ndarray:
         raise DimensionError(
             f"transform: {xm.shape[1]} columns but scaler was fit on {params.means.shape[0]}"
         )
+    return frozen(_standardize(params, xm, np.empty(xm.shape)))
+
+
+def _standardize(params: ScalerParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """transform's values written into ``out``, which may be ``x`` itself to
+    scale a matrix the caller owns in place; returns ``out``. The columns
+    must match the scaler's."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = xm - params.means
+        np.subtract(x, params.means, out=out)
         out /= params.stds
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
@@ -633,7 +653,7 @@ def transform(params: ScalerParams, x) -> np.ndarray:
             f"transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
             "is too large to standardize in float64"
         )
-    return frozen(out)
+    return out
 
 
 def inverse_transform(params: ScalerParams, x) -> np.ndarray:

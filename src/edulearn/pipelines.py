@@ -11,6 +11,7 @@ real classrooms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from importlib import resources
@@ -32,7 +33,6 @@ from .data import (
     SplitSpec,
     encode_columns,
     fit_scaler,
-    transform,
 )
 from .errors import DegenerateDataError, DimensionError, ParameterError
 
@@ -336,31 +336,43 @@ def fit_dataset(
 ) -> tuple[CaseStudyReport, FitBundle]:
     """Shared split -> train-fit scaling -> train -> metrics path behind both
     experiments; returns the report plus everything needed to serialize,
-    with ``ds.columns`` as the schema to save."""
-    train, test = data_mod.split(ds, split_spec)
-    scaler = fit_scaler(train.features)
-    x_train = transform(scaler, train.features)
-    x_test = transform(scaler, test.features)
-    y_train, y_test = train.targets, test.targets
-    del train, test  # free the unscaled rows before training
-    model = train_logistic(x_train, y_train, opt, class_names=ds.class_names)
-    k = len(ds.class_names)
+    with ``ds.columns`` as the schema to save.
+
+    Ownership: pass the last reference to ``ds`` (no variable of the
+    caller's holding it) and its unsplit feature matrix is freed as soon as
+    the rows of ``data.split`` are gathered, so the fit peaks at about twice
+    that matrix; a caller that keeps a reference keeps the matrix alive,
+    unchanged, and pays for it. The gathered rows are scaled in place, and
+    the training rows are copied once into the feature-major (d x n) layout
+    the multinomial objective reads; the trainer and the train-set predict
+    read them through its ``.T`` view.
+    """
+    class_names, feature_names, columns = ds.class_names, ds.feature_names, ds.columns
+    train_rows, test_rows = data_mod.split_indices(ds.n_rows, split_spec)
+    x_train, y_train = ds.features[train_rows], ds.targets[train_rows]
+    x_test, y_test = ds.features[test_rows], ds.targets[test_rows]
+    del ds  # the unsplit rows, freed here if this was the last reference
+    scaler = fit_scaler(x_train)
+    data_mod._standardize(scaler, x_train, x_train)
+    data_mod._standardize(scaler, x_test, x_test)
+    xt = np.ascontiguousarray(x_train.T)
+    del x_train
+    model = train_logistic(xt.T, y_train, opt, class_names=class_names)
+    k = len(class_names)
     report = CaseStudyReport(
         solver=opt.solver,
-        train_metrics=compute_metrics(y_train, predict(model, x_train), k),
+        train_metrics=compute_metrics(y_train, predict(model, xt.T), k),
         test_metrics=compute_metrics(y_test, predict(model, x_test), k),
-        class_distribution={
-            name: int((y_train == i).sum()) for i, name in enumerate(ds.class_names)
-        },
+        class_distribution={name: int((y_train == i).sum()) for i, name in enumerate(class_names)},
         config_echo=opt,
         data_source=data_source,
     )
     bundle = FitBundle(
         model=model,
         scaler=scaler,
-        feature_names=ds.feature_names,
+        feature_names=feature_names,
         task=task,
-        schema=ds.columns,
+        schema=columns,
     )
     return report, bundle
 
@@ -472,6 +484,10 @@ def _academic_sample(n_rows: int, seed: int):
         raise ParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_rows
+    # the one array the Dataset keeps, allocated before the temporaries, so
+    # that freeing them leaves no heap hole under it that the allocator
+    # cannot give back (it pinned 12 MB through the train at 76,519 rows)
+    targets = np.empty(n, np.int64)
     s = rng.standard_normal(n)
 
     num: dict[str, np.ndarray] = {}
@@ -511,10 +527,11 @@ def _academic_sample(n_rows: int, seed: int):
     num["attendance_rate"] = np.clip(0.85 + 0.08 * s + 0.07 * rng.standard_normal(n), 0.0, 1.0)
     num["tutoring_sessions"] = rng.poisson(1.5, n).astype(float)
 
+    # each categorical as the codes of its _CATEGORIES values: the draws
+    # rng.choice makes over the value names themselves
     cat: dict[str, np.ndarray] = {}
-    for name in _CATEGORIES:
-        values = np.array(_CATEGORIES[name])
-        cat[name] = rng.choice(values, n, p=_CATEGORY_PROBS[name])
+    for name, values in _CATEGORIES.items():
+        cat[name] = rng.choice(len(values), n, p=_CATEGORY_PROBS[name])
 
     # planted ground-truth logits: affine in the observed columns
     u1 = (num["units_1st_approved"] - 3.5) / 2.0
@@ -523,10 +540,15 @@ def _academic_sample(n_rows: int, seed: int):
     sub = (num["assignment_submission_rate"] - 0.82) / 0.10
     adm = (num["admission_grade"] - 125.0) / 15.0
     age_c = num["age_at_enrollment"] - 21.0
-    scholarship = (cat["scholarship_holder"] == "yes").astype(float)
-    evening = (cat["attendance_period"] == "evening").astype(float)
-    full_time = (cat["employment_status"] == "full_time").astype(float)
-    part_time = (cat["employment_status"] == "part_time").astype(float)
+    scholarship, evening, full_time, part_time = (
+        (cat[name] == _CATEGORIES[name].index(value)).astype(float)
+        for name, value in (
+            ("scholarship_holder", "yes"),
+            ("attendance_period", "evening"),
+            ("employment_status", "full_time"),
+            ("employment_status", "part_time"),
+        )
+    )
 
     z_grad = _STRENGTH * (
         0.55 * u1 + 0.55 * u2 + 0.35 * att + 0.25 * sub + 0.25 * adm + 0.30 * scholarship
@@ -544,16 +566,19 @@ def _academic_sample(n_rows: int, seed: int):
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     u = rng.random(n)
-    targets = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1).astype(np.int64)
+    np.sum(u[:, None] > np.cumsum(probs, axis=1), axis=1, out=targets)
 
     return num, cat, logits, targets
 
 
 def generate_academic_synthetic(n_rows: int, seed: int) -> Dataset:
-    """Desk-scale synthetic stand-in for the academic-risk dataset."""
+    """Desk-scale synthetic stand-in for the academic-risk dataset, encoded
+    straight from the drawn codes: the Dataset that load_csv reads from the
+    CSV of academic_csv_rows with the same arguments."""
     num, cat, _, targets = _academic_sample(n_rows, seed)
-    target = np.asarray(ACADEMIC_CLASS_NAMES, dtype=object)[targets]
-    return encode_columns(academic_schema(), {**num, **cat, "Target": target})
+    values = {name: (codes, _CATEGORIES[name]) for name, codes in cat.items()}
+    values.update(num, Target=(targets, ACADEMIC_CLASS_NAMES))
+    return data_mod._assemble(academic_schema(), values, n_rows)
 
 
 def academic_bayes_predict(n_rows: int, seed: int) -> np.ndarray:
@@ -563,18 +588,33 @@ def academic_bayes_predict(n_rows: int, seed: int) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-def academic_csv_rows(n_rows: int, seed: int) -> tuple[list[str], list[list[str]]]:
-    """Header and cell strings for writing the synthetic set as a CSV.
+# rows that academic_csv_rows formats at a time
+_CSV_ROWS = 8192
+
+
+def academic_csv_rows(n_rows: int, seed: int) -> tuple[list[str], Iterator[tuple[str, ...]]]:
+    """Header and an iterator of cell-string rows for writing the synthetic
+    set as a CSV, formatted _CSV_ROWS rows at a time so the file is never
+    held whole as Python strings.
 
     Floats are written with repr so a load round-trips bit-exactly.
     """
     num, cat, _, targets = _academic_sample(n_rows, seed)
-    columns = [
-        list(map(repr, num[name].tolist())) if name in num else cat[name].tolist()
-        for name in _COLUMN_ORDER
-    ]
-    columns.append([ACADEMIC_CLASS_NAMES[t] for t in targets.tolist()])
-    return list(_COLUMN_ORDER) + ["Target"], [list(row) for row in zip(*columns)]
+    header = [*_COLUMN_ORDER, "Target"]
+    columns = {**num, **cat, "Target": targets}
+    labels = {name: np.asarray(values, dtype=object) for name, values in _CATEGORIES.items()}
+    labels["Target"] = np.asarray(ACADEMIC_CLASS_NAMES, dtype=object)
+
+    def rows():
+        for start in range(0, n_rows, _CSV_ROWS):
+            block = {name: column[start : start + _CSV_ROWS] for name, column in columns.items()}
+            yield from zip(*(
+                labels[name][block[name]].tolist() if name in labels
+                else list(map(repr, block[name].tolist()))
+                for name in header
+            ))
+
+    return list(header), rows()
 
 
 def packaged_academic_schema() -> list[ColumnSchema]:

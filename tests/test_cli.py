@@ -121,14 +121,18 @@ def test_generate_style_deterministic(tmp_path):
     assert (tmp_path / "a_data.csv").read_bytes() == (tmp_path / "b_data.csv").read_bytes()
     assert (tmp_path / "a_schema.json").read_bytes() == (tmp_path / "b_schema.json").read_bytes()
     assert len((tmp_path / "a_data.csv").read_text().splitlines()) == 31  # header + 10*3 rows
+    assert r1.stdout.startswith("wrote 30 rows to a_data.csv")
 
 
 def test_generate_academic_has_35_predictors(tmp_path):
     r = run_cli(["generate", "--kind", "academic", "--n", "50", "--seed", "1", "--out", "g_"], tmp_path)
     assert r.returncode == 0, r.stderr
-    header = (tmp_path / "g_data.csv").read_text().splitlines()[0].split(",")
+    lines = (tmp_path / "g_data.csv").read_text().splitlines()
+    header = lines[0].split(",")
     assert len(header) == 36  # 35 predictors + Target
     assert header[-1] == "Target"
+    assert len(lines) == 51
+    assert r.stdout.startswith("wrote 50 rows to g_data.csv")
 
 
 def test_train_writes_valid_report_and_model(tmp_path):

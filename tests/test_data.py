@@ -23,6 +23,7 @@ from edulearn.data import (
     read_schema,
     schema_to_doc,
     split,
+    split_indices,
     transform,
 )
 from edulearn.errors import (
@@ -522,6 +523,18 @@ def test_split_seeds_differ():
     a1, _ = split(ds, SplitSpec(0.5, seed=0))
     a2, _ = split(ds, SplitSpec(0.5, seed=1))
     assert not np.array_equal(a1.features, a2.features)
+
+
+def test_split_takes_the_rows_of_split_indices():
+    ds = _toy_dataset(31)
+    train_rows, test_rows = split_indices(31, SplitSpec(0.7, seed=4))
+    train, test = split(ds, SplitSpec(0.7, seed=4))
+    assert len(train_rows) == 22 and len(test_rows) == 9  # round-half-up of 21.7
+    assert train.features[:, 0].tolist() == train_rows.tolist()
+    assert test.features[:, 0].tolist() == test_rows.tolist()
+    for n, fraction in ((1, 0.5), (2, 0.05), (2, 0.95)):
+        with pytest.raises(SplitError):
+            split_indices(n, SplitSpec(fraction, seed=0))
 
 
 def test_split_errors():

@@ -1,10 +1,25 @@
+import hashlib
+import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edulearn.classify import OptimizerConfig
-from edulearn.data import SplitSpec, load_csv, schema_to_doc
+from edulearn import pipelines
+from edulearn.classify import SOLVERS, OptimizerConfig, train_logistic
+from edulearn.data import (
+    Dataset,
+    SplitSpec,
+    fit_scaler,
+    load_csv,
+    schema_to_doc,
+    split,
+    transform,
+)
 from edulearn.errors import ParameterError
 from edulearn.pipelines import (
     ACADEMIC_CLASS_NAMES,
@@ -257,8 +272,129 @@ def test_academic_csv_round_trip_matches_direct(tmp_path):
         loaded = load_csv(path, academic_schema())
         direct = generate_academic_synthetic(n_rows, seed=31)
         assert loaded.feature_names == direct.feature_names
+        assert loaded.class_names == direct.class_names
+        assert loaded.columns == direct.columns
         assert np.array_equal(loaded.features, direct.features)
         assert np.array_equal(loaded.targets, direct.targets)
+
+
+# sha256 of the CSV text of academic_csv_rows(20_000, 31), as the generator
+# that drew each category by name wrote it: a change to the random stream
+# (the draws, their order or their mapping to names) changes it
+_ACADEMIC_CSV_SHA256 = "f44c2f2ce745ca673413fb45dfa7ab7fc15ae7ba0fd1f33d23d65cc9f248a1ad"
+
+
+def test_academic_csv_text_is_pinned():
+    from edulearn.cli import _csv_text
+
+    header, rows = academic_csv_rows(20_000, seed=31)
+    text = _csv_text([header, *rows])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _ACADEMIC_CSV_SHA256
+
+
+def test_academic_csv_rows_do_not_depend_on_the_block_size(monkeypatch):
+    header, rows = academic_csv_rows(50, seed=3)
+    whole = list(rows)
+    monkeypatch.setattr(pipelines, "_CSV_ROWS", 7)
+    header_b, rows_b = academic_csv_rows(50, seed=3)
+    assert header_b == header
+    assert list(rows_b) == whole
+    assert len(whole) == 50 and all(len(row) == len(header) for row in whole)
+
+
+# bytes of the unsplit feature matrix of 20,000 synthetic academic rows
+_ROWS = 20_000
+_MATRIX_BYTES = _ROWS * 61 * 8
+
+
+def test_generate_academic_synthetic_peak_is_under_two_matrices():
+    # the category draws as codes, never as string arrays: 1.75 matrices;
+    # drawing them by name and encoding the strings peaked at 2.52
+    tracemalloc.start()
+    try:
+        ds = generate_academic_synthetic(_ROWS, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.nbytes == _MATRIX_BYTES
+    assert peak <= 2.0 * _MATRIX_BYTES
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's stack holds every call argument until the call returns",
+)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_fit_dataset_on_the_last_reference_peaks_under_2_3_matrices(solver):
+    # the unsplit matrix and the gathered rows (2 matrices) are the peak;
+    # keeping the unsplit matrix and two scaled copies through the fit
+    # peaked at 3.05
+    opt = OptimizerConfig(solver=solver, max_iter=5, epochs=1)
+    tracemalloc.start()
+    try:
+        held = [generate_academic_synthetic(_ROWS, seed=0)]
+        tracemalloc.reset_peak()
+        fit_dataset(held.pop(), opt, SplitSpec(0.7, seed=0), "synthetic", "academic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * _MATRIX_BYTES
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5000).filter(lambda n: n % 2048),
+    d=st.integers(1, 24),
+    k=st.sampled_from([2, 3]),
+    constant=st.lists(st.booleans(), min_size=24, max_size=24),
+    solver=st.sampled_from(SOLVERS),
+    l1=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
+    n, d, k, constant, solver, l1, seed
+):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, d) + rng.uniform(-50.0, 50.0, d)
+    for j in range(d):
+        if constant[j]:
+            x[:, j] = x[0, j]
+    ds = Dataset(
+        features=x,
+        targets=rng.integers(0, k, n),
+        feature_names=[f"f{j}" for j in range(d)],
+        class_names=("a", "b", "c")[:k],
+        columns=(),
+    )
+    kept = ds.features.copy()
+    spec = SplitSpec(0.7, seed=seed % 1000)
+    opt = OptimizerConfig(solver=solver, max_iter=3, epochs=1, l1=l1 if solver == "sgd" else 0.0)
+    with mock.patch.object(pipelines, "train_logistic", wraps=train_logistic) as fit, \
+            mock.patch.object(pipelines, "predict", wraps=pipelines.predict) as scored:
+        _, bundle = fit_dataset(ds, opt, spec, "synthetic", "academic")
+
+    # a caller that keeps its reference finds its dataset unchanged
+    assert ds.features.tobytes() == kept.tobytes() and not ds.features.flags.writeable
+    train, test = split(ds, spec)
+    scaler = fit_scaler(train.features)
+    # fit_scaler's bits are the two-pass formula's
+    means = train.features.mean(axis=0)
+    stds = np.sqrt(np.mean((train.features - means) ** 2, axis=0))
+    stds = np.where(stds < 1e-12, 1.0, stds)
+    assert scaler.means.tobytes() == means.tobytes() and scaler.stds.tobytes() == stds.tobytes()
+    assert bundle.scaler.means.tobytes() == scaler.means.tobytes()
+    assert bundle.scaler.stds.tobytes() == scaler.stds.tobytes()
+
+    x_train, x_test = transform(scaler, train.features), transform(scaler, test.features)
+    (fit_x, fit_y, _), _ = fit.call_args
+    assert fit_x.shape == x_train.shape and fit_x.tobytes() == x_train.tobytes()
+    assert np.array_equal(fit_y, train.targets)
+    [(_, train_x), _], [(_, test_x), _] = scored.call_args_list
+    assert train_x.tobytes() == x_train.tobytes() and test_x.tobytes() == x_test.tobytes()
+    # the trainers read the feature-major view to the bits of the row-major matrix
+    reference = train_logistic(x_train, train.targets, opt, class_names=ds.class_names)
+    assert bundle.model.weights.tobytes() == reference.weights.tobytes()
+    assert bundle.model.intercepts.tobytes() == reference.intercepts.tobytes()
 
 
 def test_academic_bayes_predict_aligns():
