@@ -37,8 +37,8 @@ __all__ = [
     "fit_lbfgs",
     "train_logistic",
     "predict_proba",
+    "classes_from_proba",
     "predict",
-    "proba_full",
     "compute_metrics",
 ]
 
@@ -492,22 +492,7 @@ def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     return _unpack_model(theta, xm.shape[1], k, names, converged, iterations, loss_path)
 
 
-def _sigmoid_delta(z: list, label: float) -> list:
-    """Binary SGD residual p - y of one row, from its one logit."""
-    return [_sigmoid_scalar(z[0]) - label]
-
-
-def _softmax_delta(z: list, label: int) -> list:
-    """Multinomial SGD residual softmax(z) - onehot(label) of one row."""
-    top = max(z)
-    e = [math.exp(v - top) for v in z]
-    total = sum(e)
-    delta = [v / total for v in e]
-    delta[label] -= 1.0
-    return delta
-
-
-def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta) -> None:
+def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay) -> None:
     """One epoch of per-sample SGD over the rows in ``order``, updating the
     weights ``w`` (m x d) and intercepts ``b`` (m) in place.
 
@@ -520,6 +505,9 @@ def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta) -
     ``W = c^B W0 - lr sum_i c^(B-1-i) delta_i x_i``: the same steps as a
     per-sample loop, with the arithmetic regrouped (the lazy weight scaling
     of Bottou 2012, "Stochastic Gradient Descent Tricks", section 5).
+
+    Row j's residual delta_j is p - y from its one logit for a binary model
+    (m = 1), else softmax(z) - onehot(y).
     """
     m = len(b)
     for start in range(0, len(order), _SGD_BLOCK):
@@ -532,8 +520,15 @@ def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta) -
         # row j's coupling list is longer than the j deltas so far; map stops at those
         for z0, h, label in zip(logits, coupling, targets[rows].tolist()):
             z = [zc - sum(map(operator.mul, h, col)) for zc, col in zip(z0, cols)]
-            for col, dc in zip(cols, row_delta(z, label)):
-                col.append(dc)
+            if m == 1:
+                cols[0].append(_sigmoid_scalar(z[0]) - label)
+                continue
+            top = max(z)
+            e = [math.exp(v - top) for v in z]
+            total = sum(e)
+            for col, v in zip(cols, e):
+                col.append(v / total)
+            cols[label][-1] -= 1.0
         deltas = np.array(cols)
         w *= powers[nb]
         w -= (lr * deltas * powers[nb - 1 :: -1]) @ xb
@@ -594,10 +589,7 @@ def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     n, d = xm.shape
     lr = cfg.learning_rate
     c = 1.0 - lr * cfg.l2  # the l2 part of each per-sample step shrinks the weights by c
-    if k == 2:
-        m, targets, row_delta = 1, yi.astype(np.float64), _sigmoid_delta
-    else:
-        m, targets, row_delta = k, yi, _softmax_delta
+    m, targets = (1, yi.astype(np.float64)) if k == 2 else (k, yi)
     rng = np.random.default_rng(cfg.seed)
 
     w = np.zeros((m, d))
@@ -616,7 +608,7 @@ def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
             if cfg.l1 > 0.0:
                 _sgd_epoch_l1(xm, targets, order, w, b, lr, cfg.l1, cfg.l2)
             else:
-                _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay, row_delta)
+                _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay)
             theta = np.concatenate([w.ravel(), b])
             value, _ = objective(theta)
             if not math.isfinite(value):
@@ -641,8 +633,9 @@ def train_logistic(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticMode
 
 
 def predict_proba(model: LogisticModel, x) -> np.ndarray:
-    """Class-1 probabilities (binary, one column) or row-stochastic softmax;
-    a row whose logits overflow float64 is a DegenerateDataError naming it."""
+    """The n x n_classes class probabilities: [1 - p, p] with p the class-1
+    sigmoid for a binary model, else the row-stochastic softmax. A row whose
+    logits overflow float64 is a DegenerateDataError naming it."""
     xm = as_matrix(x)
     if xm.shape[1] != model.n_features:
         raise DimensionError(
@@ -654,28 +647,24 @@ def predict_proba(model: LogisticModel, x) -> np.ndarray:
         bad = np.argwhere(~np.isfinite(z))
         if bad.size:
             raise DegenerateDataError(f"predict_proba: row {bad[0][0] + 1}: logits overflow")
-        return frozen(_sigmoid(z)[:, None] if model.is_binary else _softmax_rows(z))
+        if not model.is_binary:
+            return frozen(_softmax_rows(z))
+        p = _sigmoid(z)
+        return frozen(np.column_stack([1.0 - p, p]))
 
 
-def predict(model: LogisticModel, x) -> np.ndarray:
-    """Class indices; binary threshold 0.5 (boundary to class 1), multinomial
-    argmax with lowest-index tie-break."""
-    proba = predict_proba(model, x)
-    if model.is_binary:
-        return (proba[:, 0] >= 0.5).astype(np.int64)
+def classes_from_proba(proba: np.ndarray) -> np.ndarray:
+    """Class indices of a predict_proba matrix: with two columns, class 1
+    where its probability is >= 0.5; else the argmax, the lowest index
+    taking a tie."""
+    if proba.shape[1] == 2:
+        return (proba[:, 1] >= 0.5).astype(np.int64)
     return np.argmax(proba, axis=1).astype(np.int64)
 
 
-def proba_full(model: LogisticModel, x) -> np.ndarray:
-    """Per-class probability matrix (n x n_classes) for any model.
-
-    Binary models expand to two columns [1-p, p] so reporting code can
-    treat both shapes alike.
-    """
-    proba = predict_proba(model, x)
-    if model.is_binary:
-        return np.column_stack([1.0 - proba[:, 0], proba[:, 0]])
-    return proba
+def predict(model: LogisticModel, x) -> np.ndarray:
+    """Class indices of predict_proba (see classes_from_proba)."""
+    return classes_from_proba(predict_proba(model, x))
 
 
 def compute_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import pipelines
-from .classify import LogisticModel, OptimizerConfig, proba_full
+from .classify import SOLVERS, LogisticModel, OptimizerConfig, classes_from_proba, predict_proba
 from .data import ScalerParams, transform
 from .errors import EdulearnError, ParameterError, SchemaError
 
@@ -215,15 +215,18 @@ def model_from_doc(doc) -> pipelines.FitBundle:
     if not isinstance(doc, dict) or doc.get("model_version") != MODEL_VERSION:
         raise SchemaError(f"unsupported model document (want model_version {MODEL_VERSION})")
     try:
+        converged, iterations = doc["converged"], doc["iterations_used"]
+        if not isinstance(converged, bool) or type(iterations) is not int or iterations < 0:
+            raise TypeError("converged must be a bool and iterations_used an int >= 0")
         model = LogisticModel(
             weights=doc["weights"],
             intercepts=doc["intercepts"],
             class_names=tuple(doc["class_names"]),
-            converged=bool(doc["converged"]),
-            iterations_used=int(doc["iterations_used"]),
+            converged=converged,
+            iterations_used=iterations,
         )
         scaler = ScalerParams(means=doc["scaler"]["means"], stds=doc["scaler"]["stds"])
-        task = doc["task"]
+        model_type, task = doc["model_type"], doc["task"]
         feature_names = tuple(doc["feature_names"])
         columns = tuple(data_mod.schema_from_doc(doc["schema"]))
     except KeyError as exc:
@@ -233,6 +236,10 @@ def model_from_doc(doc) -> pipelines.FitBundle:
     arrays = (model.weights, model.intercepts, scaler.means, scaler.stds)
     if not all(np.isfinite(a).all() for a in arrays):
         raise SchemaError("malformed model document: non-finite weights or scaler values")
+    if model_type != ("binary" if model.is_binary else "multinomial"):
+        raise SchemaError(
+            f"malformed model document: model_type {model_type!r} for {model.n_classes} classes"
+        )
     if task not in ("style", "academic") or not all(
         isinstance(name, str) for name in model.class_names + feature_names
     ):
@@ -319,12 +326,9 @@ def cmd_predict(args) -> int:
         raise SchemaError(
             f"input features do not match the model (missing {missing}, unexpected {extra})"
         )
-    proba = proba_full(model, transform(bundle.scaler, ds.features))
+    proba = predict_proba(model, transform(bundle.scaler, ds.features))
     del raw, ds  # the input's features, no longer needed while the file is written
-    # classify.predict's rules: p >= 0.5 is class 1, and argmax takes the
-    # lowest index on a tie
-    classes = (proba[:, 1] >= 0.5).astype(np.int64) if model.is_binary else proba.argmax(axis=1)
-    names = [model.class_names[k] for k in classes.tolist()]
+    names = [model.class_names[k] for k in classes_from_proba(proba).tolist()]
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
     rows = zip(map(str, range(len(names))), names, *(map(repr, p) for p in proba.T.tolist()))
@@ -358,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--task", choices=["style", "academic"], required=True)
     train.add_argument("--input", help="CSV path; omitted = synthetic source")
     train.add_argument("--schema", help="schema JSON path (default: packaged/task schema)")
-    train.add_argument("--solver", choices=["lbfgs", "sgd", "gd"], default="lbfgs")
+    train.add_argument("--solver", choices=SOLVERS, default=OptimizerConfig.solver)
     train.add_argument("--seed", type=int)
     train.add_argument("--n", type=int, help="synthetic size when --input is omitted")
     train.add_argument("--max-iter", type=int, dest="max_iter")

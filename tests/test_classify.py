@@ -21,7 +21,6 @@ from edulearn.classify import (
     fit_sgd,
     predict,
     predict_proba,
-    proba_full,
     sigmoid,
     softmax_loss_grad,
     train_logistic,
@@ -658,10 +657,26 @@ def test_predict_feature_mismatch():
         predict(_zero_model(2, 3), np.zeros((2, 2)))
 
 
-def test_proba_full_binary_expansion():
-    out = proba_full(_zero_model(2, 2), np.zeros((3, 2)))
+def test_predict_proba_binary_expansion():
+    out = predict_proba(_zero_model(2, 2), np.zeros((3, 2)))
     assert out.shape == (3, 2)
     assert np.all(out == 0.5)
+
+
+def test_predict_proba_binary_columns_are_one_minus_p_and_p():
+    rng = np.random.default_rng(15)
+    model = LogisticModel(
+        weights=rng.normal(size=(1, 3)) * 4,
+        intercepts=rng.normal(size=1),
+        class_names=("no", "yes"),
+        converged=True,
+        iterations_used=1,
+    )
+    x = rng.normal(size=(40, 3)) * 3
+    proba = predict_proba(model, x)
+    assert proba.shape == (40, 2)
+    assert proba[:, 1].tobytes() == sigmoid(x @ model.weights[0] + model.intercepts[0]).tobytes()
+    assert proba[:, 0].tobytes() == (1.0 - proba[:, 1]).tobytes()
 
 
 def test_softmax_shift_invariance_at_argmax():

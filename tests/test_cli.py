@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edulearn import cli, pipelines
-from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, proba_full
+from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, predict_proba
 from edulearn.data import ColumnSchema, ScalerParams, load_csv, transform
 from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, main, model_from_doc
@@ -323,7 +323,7 @@ def test_predictions_csv_in_blocks_is_what_csv_writer_writes(tmp_path, monkeypat
     bundle = model_from_doc(json.loads((tmp_path / "q_model.json").read_text()))
     x = transform(bundle.scaler, load_csv("q.csv", bundle.schema).features)
     names = [classes[k] for k in predict(bundle.model, x).tolist()]
-    proba = proba_full(bundle.model, x).tolist()
+    proba = predict_proba(bundle.model, x).tolist()
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         [["row", "predicted_class", *(f"p_{name}" for name in classes)]]
@@ -543,6 +543,13 @@ def _model_with_null_schema(model_text):
     return json.dumps(doc)
 
 
+def _model_field(**fields):
+    def make_doc(model_text):
+        return json.dumps({**json.loads(model_text), **fields})
+
+    return make_doc
+
+
 def _malformed_model_schema(model_text):
     doc = json.loads(model_text)
     doc["schema"]["columns"][0] = {"name": "student_id"}
@@ -560,9 +567,18 @@ def _malformed_model_schema(model_text):
         _model_without_schema,
         _model_with_null_schema,
         _model_with_nan_weight,
+        _model_field(converged="no"),
+        _model_field(converged=None),
+        _model_field(iterations_used=2.7),
+        _model_field(iterations_used=True),
+        _model_field(iterations_used="12"),
+        _model_field(iterations_used=-5),
+        _model_field(model_type="multinomial"),
     ],
     ids=["missing-fields", "not-json", "wrong-type", "bad-schema", "class-names-not-the-schemas",
-         "no-schema", "null-schema", "nan-weight"],
+         "no-schema", "null-schema", "nan-weight", "converged-string", "converged-null",
+         "iterations-float", "iterations-bool", "iterations-string", "iterations-negative",
+         "model-type-not-binary"],
 )
 def test_predict_malformed_model_exits_1(style_model, tmp_path, make_doc):
     text = make_doc((style_model / "m_model.json").read_text())

@@ -185,7 +185,6 @@ def test_load_csv_without_target(tmp_path):
     ds = load_csv(path, BASIC_SCHEMA, require_target=False)
     assert ds.features.shape[0] == 2
     assert ds.targets.size == 0
-    assert not ds.labeled
 
 
 def test_load_csv_quoted_cells(tmp_path):
@@ -481,6 +480,27 @@ def test_load_csv_reads_numbers_as_float_does(tmp_path_factory, cells):
         return
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {faults[0]}')}$"):
         load_csv(path, BASIC_SCHEMA, require_target=False)
+
+
+@pytest.mark.parametrize("c0", ["a\x1cb", "a"], ids=["separator-cell", "plain-cell"])
+def test_load_csv_per_cell_chunk(tmp_path, c0):
+    """A chunk holding a \\x1c-\\x1f cell, or a number numpy's reader rejects
+    (1_0), is split by csv.reader and read per cell: its numbers load as
+    float() reads them, and a fault in it names its row and cell."""
+    schema = [
+        ColumnSchema("x", "numeric"),
+        ColumnSchema("c", "categorical"),
+        ColumnSchema("Target", "target", ("A", "B")),
+    ]
+    path = _write(tmp_path, "d.csv", f"x,c,Target\n1_0,{c0},A\n2.5,b,B\n")
+    ds = load_csv(path, schema)
+    assert ds.feature_names == ("x", f"c={c0}", "c=b")
+    assert ds.features.tolist() == [[10.0, 1.0, 0.0], [2.5, 0.0, 1.0]]
+    assert ds.targets.tolist() == [0, 1]
+    path = _write(tmp_path, "e.csv", f"x,c,Target\n1_0,{c0},A\n1__0,b,B\n")
+    message = f"{path}: row 2, column 'x': cannot parse '1__0' as a number"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_csv(path, schema)
 
 
 def _toy_dataset(n):
