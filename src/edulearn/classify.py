@@ -540,9 +540,9 @@ def _sgd_epoch_l1(xm, targets, order, w, b, lr, l1, l2) -> None:
     step, one row at a time, updating ``w`` (m x d) and ``b`` (m) in place.
 
     The threshold is not linear in the weights, so these steps cannot be
-    regrouped into blocks as _sgd_epoch_blocked does. A row loop shared
-    with the blocked path's residual functions was ~45% slower per binary
-    update than this one.
+    regrouped into blocks as _sgd_epoch_blocked does. One row loop for both
+    model shapes, calling a residual function per row, was ~45% slower per
+    binary update than this scalar one.
     """
     if len(b) == 1:
         wv, bv = w[0].copy(), float(b[0])

@@ -172,7 +172,7 @@ def report_to_doc(
     return {
         "report_version": REPORT_VERSION,
         "task": task,
-        "solver": report.solver,
+        "solver": report.config_echo.solver,
         "data_source": report.data_source,
         "config_echo": {
             **config_to_doc(report.config_echo),

@@ -365,12 +365,8 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     return _assemble(columns, values, n_rows)
 
 
-# data rows that load_csv reads, checks and encodes at a time
+# lines that load_csv reads, checks and encodes at a time
 _CHUNK_ROWS = 8192
-
-
-class _QuotedText(Exception):
-    """A chunk holds a quote or a CR, so str.split would not give csv.reader's cells."""
 
 
 def _read_lines(fh, n: int, line_no: int, path) -> list[str]:
@@ -384,49 +380,69 @@ def _read_lines(fh, n: int, line_no: int, path) -> list[str]:
     return lines
 
 
+def _reader_rows(lines: list[str], fh, line_no: int, path) -> tuple[list[list[str]], int]:
+    """csv.reader's cells of the records that start in ``lines`` (``line_no``
+    lines precede them), and the number of lines they span: more than
+    ``lines`` when a quoted cell open on the last line reads on from ``fh``."""
+    reader, rows = csv.reader(chain(lines, fh)), []
+    try:
+        for row in reader:
+            rows.append(row)
+            if reader.line_num >= len(lines):
+                break
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 after line {line_no + reader.line_num} ({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {line_no + reader.line_num}: {exc}") from None
+    return rows, reader.line_num
+
+
 def _split_chunks(fh, path):
     """The header cells, then (row0, lines, rows) for every chunk of up to
-    _CHUNK_ROWS data lines: ``row0`` rows precede the chunk, and either
-    ``lines`` are its checked lines for numpy's text reader, or, where that
-    reader would read a number float() rejects, ``rows`` are csv.reader's
-    cells of them.
+    _CHUNK_ROWS lines: ``row0`` rows precede the chunk, and either ``lines``
+    are its checked lines for numpy's text reader, or ``rows`` are
+    csv.reader's cells of the records that start in it.
 
-    The text must hold no quote and no CR: while it does not, str.split on
-    ``,`` gives csv.reader's cells, and so does numpy's reader; the first
-    chunk (or header) holding either raises _QuotedText. A line of w fields
-    is w - 1 commas, except a blank line, which csv.reader reads as no
-    fields. Neither str.split nor numpy's reader has csv's field size
-    limit, so it is checked here.
+    The header, and a chunk holding a quote, a CR or one of \\x1c-\\x1f
+    (which numpy's reader strips around a number and float() does not), go
+    through csv.reader. In the other chunks a line of w fields is w - 1
+    commas, except a blank line, which csv.reader reads as no fields, and
+    str.split on ``,`` gives csv.reader's cells, as does numpy's reader.
+    Neither of those has csv's field size limit, so it is checked here.
+    A quoted cell can hold a line end, so rows and lines are counted apart.
     """
     limit = csv.field_size_limit()
-    line_no, width = 0, None
-    lines = _read_lines(fh, 1, 0, path)  # the header
-    while lines:
+    header, line_no = _reader_rows(_read_lines(fh, 1, 0, path), fh, 0, path)
+    if not header:
+        return
+    width, row0 = len(header[0]), 0
+    yield header[0]
+    while lines := _read_lines(fh, _CHUNK_ROWS, line_no, path):
+        # held to the next chunk: freed at once, it raised the predict peak
+        # on the 76,519-row academic CSV by ~7 MB (glibc malloc placement)
         text = "".join(lines)
-        if '"' in text or "\r" in text:
-            raise _QuotedText
+        if any(map(text.__contains__, '"\r\x1c\x1d\x1e\x1f')):
+            rows, n_lines = _reader_rows(lines, fh, line_no, path)
+            for i, row in enumerate(rows, row0 + 1):
+                if len(row) != width:
+                    raise ParseError(f"{path}: row {i} has {len(row)} values, expected {width}")
+            yield row0, None, rows
+            line_no, row0 = line_no + n_lines, row0 + len(rows)
+            continue
         if max(map(len, lines)) > limit:  # no cell is longer than its line
             for i, line in enumerate(lines, line_no + 1):
                 if max(map(len, line.rstrip("\n").split(","))) > limit:
                     raise ParseError(f"{path}: line {i}: field larger than field limit ({limit})")
-        if width is None:
-            header = text.rstrip("\n").split(",") if text != "\n" else []
-            width = len(header)
-            yield header
-        else:
-            commas = list(map(str.count, lines, repeat(",")))
-            if commas.count(width - 1) != len(lines) or "\n" in lines:
-                for i, (line, count) in enumerate(zip(lines, commas), line_no):
-                    got = count + 1 if line != "\n" else 0
-                    if got != width:
-                        raise ParseError(f"{path}: row {i} has {got} values, expected {width}")
-            # numpy's reader strips these four around a number, float() does not
-            if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
-                yield line_no - 1, None, list(csv.reader(lines))
-            else:
-                yield line_no - 1, lines, None
-        line_no += len(lines)
-        lines = _read_lines(fh, _CHUNK_ROWS, line_no, path)
+        commas = list(map(str.count, lines, repeat(",")))
+        if commas.count(width - 1) != len(lines) or "\n" in lines:
+            for i, (line, count) in enumerate(zip(lines, commas), row0 + 1):
+                got = count + 1 if line != "\n" else 0
+                if got != width:
+                    raise ParseError(f"{path}: row {i} has {got} values, expected {width}")
+        yield row0, lines, None
+        line_no, row0 = line_no + len(lines), row0 + len(lines)
 
 
 def _read_columns(lines: list[str], usecols: list[int], dtype) -> np.ndarray:
@@ -456,35 +472,6 @@ def _read_numbers(lines: list[str], usecols: list[int]) -> np.ndarray | None:
     except ValueError:
         return None
     return numbers if np.isfinite(numbers).all() else None
-
-
-def _reader_chunks(fh, path):
-    """What _split_chunks yields, read with csv.reader (every chunk as
-    ``rows``): the path for any text."""
-    reader = csv.reader(fh)
-
-    def rows(n):
-        try:
-            return list(islice(reader, n))
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{path}: not UTF-8 after line {reader.line_num} ({exc.reason})"
-            ) from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-
-    header = rows(1)
-    if not header:
-        return
-    width = len(header[0])
-    yield header[0]
-    row0 = 0
-    while chunk := rows(_CHUNK_ROWS):
-        for i, row in enumerate(chunk, row0 + 1):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {i} has {len(row)} values, expected {width}")
-        yield row0, None, chunk
-        row0 += len(chunk)
 
 
 def _encode_chunks(path, columns: list[ColumnSchema], require_target: bool, chunks) -> Dataset:
@@ -549,27 +536,24 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     With ``require_target=False`` the target column may be absent (for
     prediction inputs); the returned dataset then has zero-length targets.
 
-    The file is read, checked and encoded _CHUNK_ROWS data rows at a time,
-    so it is never held whole as Python strings. While the text holds no
-    double quote and no CR, numpy's C text reader reads each chunk's numeric
-    columns as one float block and its other columns as str cells; on the
-    76,519-row academic CSV the load takes 0.84-0.95 s, against 1.19-1.35 s
-    with str.split and float() per cell. A chunk in which that reader
-    rejects a number or reads one that is not finite is split by csv.reader
-    and read per cell instead, which loads every number float() accepts and
-    names the first faulty cell. The first chunk holding a quote or CR
-    sends the whole file, from its start, through csv.reader.
-    Either way, text that is not UTF-8 or that csv.reader rejects (say a cell
-    over its field size limit) is a ParseError naming the line, and every
-    error naming a row starts with the file name.
+    The file is read once, front to back, and checked and encoded
+    _CHUNK_ROWS lines at a time, so it is never held whole as Python
+    strings. Numpy's C text reader reads a chunk without a double quote, a
+    CR or \\x1c-\\x1f: its numeric columns as one float block, its other
+    columns as str cells. On the 76,519-row academic CSV the load takes
+    0.84-0.95 s, against 1.19-1.35 s with str.split and float() per cell.
+    csv.reader reads the header and every other chunk, and reads on past a
+    chunk's last line only to close a quoted cell. A chunk in which numpy's
+    reader rejects a number or reads one that is not finite is split by
+    csv.reader and read per cell instead, which loads every number float()
+    accepts and names the first faulty cell. Text that is not UTF-8 or that
+    csv.reader rejects (say a cell over its field size limit) is a
+    ParseError naming the line, and every error naming a row starts with
+    the file name.
     """
     _check_columns(columns)
     with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            return _encode_chunks(path, columns, require_target, _split_chunks(fh, path))
-        except _QuotedText:
-            fh.seek(0)
-            return _encode_chunks(path, columns, require_target, _reader_chunks(fh, path))
+        return _encode_chunks(path, columns, require_target, _split_chunks(fh, path))
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from .data import (
     encode_columns,
     fit_scaler,
 )
-from .errors import DegenerateDataError, DimensionError, ParameterError
+from .errors import DegenerateDataError, DimensionError, LabelError, ParameterError
 
 __all__ = [
     "StyleLabel",
@@ -145,7 +145,6 @@ class ClassSummary:
 class CaseStudyReport:
     """Train/test metrics plus the training class distribution for one run."""
 
-    solver: str
     train_metrics: MetricsReport
     test_metrics: MetricsReport
     class_distribution: dict[str, int]
@@ -360,7 +359,6 @@ def fit_dataset(
     model = train_logistic(xt.T, y_train, opt, class_names=class_names)
     k = len(class_names)
     report = CaseStudyReport(
-        solver=opt.solver,
         train_metrics=compute_metrics(y_train, predict(model, xt.T), k),
         test_metrics=compute_metrics(y_test, predict(model, x_test), k),
         class_distribution={name: int((y_train == i).sum()) for i, name in enumerate(class_names)},
@@ -638,7 +636,8 @@ def task_dataset(
     Without ``csv_path`` the task's generator draws ``n`` students or rows
     (default DEFAULT_SIZES) from ``seed``. A CSV is read against the schema
     document at ``schema_path``, or else the task's own schema (the packaged
-    public-dataset schema for academic).
+    public-dataset schema for academic); a target in it with fewer than two
+    classes is a LabelError.
     """
     n = DEFAULT_SIZES[task] if n is None else n
     if csv_path is None:
@@ -650,4 +649,11 @@ def task_dataset(
         columns = data_mod.read_schema(schema_path)
     else:
         columns = style_schema() if task == "style" else packaged_academic_schema()
-    return task_features(task, data_mod.load_csv(csv_path, columns)), "external"
+    ds = data_mod.load_csv(csv_path, columns)
+    if len(ds.class_names) < 2:
+        target = next(c.name for c in columns if c.kind == "target")
+        raise LabelError(
+            f"{csv_path}: target '{target}': training needs at least 2 classes, "
+            f"got {list(ds.class_names)}"
+        )
+    return task_features(task, ds), "external"

@@ -386,6 +386,29 @@ def test_class_name_with_lone_cr_exits_1(tmp_path, declared):
     assert not (tmp_path / "r_model.json").exists()
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "observed"])
+def test_train_one_class_target_exits_1(tmp_path, declared):
+    r = run_cli(["generate", "--kind", "style", "--n", "10", "--seed", "1",
+                 "--visual-fraction", "1", "--out", "v_"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / "v_schema.json").read_text())
+    target = doc["columns"][-1]
+    assert target["name"] == "style"
+    if declared:
+        target["allowed_values"] = ["visual"]
+    else:
+        del target["allowed_values"]
+    (tmp_path / "v_schema.json").write_text(json.dumps(doc))
+    r = run_cli(["train", "--task", "style", "--input", "v_data.csv", "--schema", "v_schema.json",
+                 "--out", "o_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == (
+        "error[LabelError]: v_data.csv: target 'style': training needs at least 2 classes, "
+        "got ['visual']\n"
+    ), r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v_data.csv", "v_schema.json"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
     r = run_cli(["generate", "--kind", "style", "--n", "20", "--seed", "1",
@@ -874,7 +897,6 @@ def _case_study_reports(draw):
         return compute_metrics(draw(labels), draw(labels), k)
 
     report = pipelines.CaseStudyReport(
-        solver=solver,
         train_metrics=metrics(),
         test_metrics=metrics(),
         class_distribution={name: draw(st.integers(0, 10**6)) for name in names},

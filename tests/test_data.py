@@ -205,11 +205,12 @@ def _assert_same_dataset(a, b):
     assert a.columns == b.columns
 
 
-# the first data row decides the path: a quoted cell sends the file through csv.reader
-_FIRST_ROW = {"split": "1.0,A\n", "csv-reader": '"1.0",A\n'}
+# each chunk takes its own path: a row holding a quoted cell sends its chunk
+# through csv.reader, and chunks of plain rows go to numpy's reader
+_PATH_ROW = {"split": "1.0,A\n", "csv-reader": '"1.0",A\n'}
 
 
-@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+@pytest.mark.parametrize("path_kind", list(_PATH_ROW))
 @pytest.mark.parametrize(
     "row, error, message",
     [
@@ -231,15 +232,58 @@ def test_load_csv_error_past_the_first_chunk_names_file_and_row(
     tmp_path, path_kind, row, error, message
 ):
     n = data_mod._CHUNK_ROWS
-    text = "x,Target\n" + _FIRST_ROW[path_kind] + "2.0,B\n" * (n - 1) + row + "\n1.0,A\n"
+    text = "x,Target\n1.0,A\n" + "2.0,B\n" * (n - 1) + row + "\n" + _PATH_ROW[path_kind]
     path = _write(tmp_path, "d.csv", text)
     expected = message.format(row=n + 1, line=n + 2)
     with pytest.raises(error, match=f"^{re.escape(f'{path}: {expected}')}$"):
         load_csv(path, BASIC_SCHEMA)
 
 
+_NOTE_SCHEMA = [ColumnSchema("note", "skip"), *BASIC_SCHEMA]
+
+
+@pytest.mark.parametrize("note", ["e", '"e"'], ids=list(_PATH_ROW))
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        (",1.0,A,x", ParseError, "row 4 has 4 values, expected 3"),
+        (",oops,B", ParseError, "row 4, column 'x': cannot parse 'oops' as a number"),
+        (",1.0,C", LabelError, "row 4, target 'Target': value 'C' not in allowed_values"),
+        ("," + "y" * 131_073 + ",A", ParseError, "line 6: field larger than field limit (131072)"),
+    ],
+    ids=["extra-field", "bad-number", "label", "over-limit"],
+)
+def test_load_csv_quoted_line_end_across_chunks_names_row_and_line(
+    tmp_path, note, row, error, message
+):
+    """A quoted cell open on a chunk's last line is read on to its close, so
+    in the next chunk, plain or quoted, rows and lines differ: row 4 is on
+    line 6."""
+    head = 'note,x,Target\na,1.0,A\n"b\nc",2.0,B\nd,3.0,A\n'
+    plain = _write(tmp_path, "ok.csv", head + note + ",4.0,B\n")
+    bad = _write(tmp_path, "d.csv", head + note + row + "\n")
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", 2):
+        ds = load_csv(plain, _NOTE_SCHEMA)
+        assert ds.features.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+        assert ds.targets.tolist() == [0, 1, 0, 1]
+        with pytest.raises(error, match=f"^{re.escape(f'{bad}: {message}')}$"):
+            load_csv(bad, _NOTE_SCHEMA)
+
+
+def test_load_csv_quoted_cell_open_at_a_chunk_end_into_non_utf8(tmp_path):
+    """csv.reader reading on past a chunk to close a quoted cell is the one
+    reader that meets text not yet decoded, here past the file's first
+    100 kB."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'note,x,Target\na,1.0,A\n"b\n' + b"c" * 100_000 + b'\xff",2.0,B\n')
+    message = f"{path}: not UTF-8 after line 3 (invalid start byte)"
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", 2):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path, _NOTE_SCHEMA)
+
+
 # one column: a blank line has as many commas as a one-value row
-@pytest.mark.parametrize("first", ["1.5", '"1.5"'], ids=list(_FIRST_ROW))
+@pytest.mark.parametrize("first", ["1.5", '"1.5"'], ids=list(_PATH_ROW))
 def test_load_csv_blank_line_in_a_one_column_file(tmp_path, first):
     path = _write(tmp_path, "d.csv", f"x\n{first}\n\n2.5\n")
     with pytest.raises(ParseError, match="row 2 has 0 values, expected 1"):
@@ -262,10 +306,10 @@ def test_load_csv_open_categorical_first_seen_in_a_later_chunk(tmp_path, late):
     _assert_same_dataset(ds, encode_columns(schema, {"c": c, "Target": target}))
 
 
-@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+@pytest.mark.parametrize("path_kind", list(_PATH_ROW))
 def test_load_csv_non_utf8_past_the_first_chunk(tmp_path, path_kind):
     path = tmp_path / "d.csv"
-    first = _FIRST_ROW[path_kind].encode()
+    first = _PATH_ROW[path_kind].encode()
     path.write_bytes(b"x,Target\n" + first + b"2.0,B\n" * 20_000 + b"\xff,A\n")
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 after line "):
         load_csv(path, BASIC_SCHEMA)
@@ -387,7 +431,7 @@ _LABEL_THEN_NUMBER = [_COLOR, *BASIC_SCHEMA]
 _NUMBER_THEN_LABEL = [BASIC_SCHEMA[0], _COLOR, BASIC_SCHEMA[1]]
 
 
-@pytest.mark.parametrize("path_kind", list(_FIRST_ROW))
+@pytest.mark.parametrize("path_kind", list(_PATH_ROW))
 @pytest.mark.parametrize(
     "schema, message",
     [

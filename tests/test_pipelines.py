@@ -411,7 +411,7 @@ def test_run_academic_case_study_synthetic():
         None, None, 600, 1, OptimizerConfig(solver="lbfgs"), SplitSpec(0.7, seed=2)
     )[0]
     assert report.data_source == "synthetic"
-    assert report.solver == "lbfgs"
+    assert report.config_echo.solver == "lbfgs"
     assert sum(report.class_distribution.values()) == 420  # train rows
     assert list(report.class_distribution.keys()) == list(ACADEMIC_CLASS_NAMES)
     assert 0.0 <= report.test_metrics.accuracy <= 1.0
