@@ -300,7 +300,7 @@ def cmd_train(args, seed: int) -> int:
     # fit_dataset frees the unsplit rows only when it holds the last
     # reference to the dataset, so no variable here keeps one
     report, bundle = pipelines.fit_dataset(
-        pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed)[0],
+        pipelines.task_dataset(args.task, args.input, args.schema, args.n, seed),
         opt,
         split_spec,
         data_source,

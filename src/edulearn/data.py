@@ -369,15 +369,28 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
 _CHUNK_ROWS = 8192
 
 
-def _read_lines(fh, n: int, line_no: int, path) -> list[str]:
-    lines: list[str] = []
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for text in ``path`` that is not UTF-8. It names the
+    last line before the first bad byte: the text layer decodes in blocks,
+    so the bytes are read again a line at a time (no UTF-8 sequence holds a
+    CR or LF byte), with lines ending at LF, CR or CRLF as that layer reads."""
+    line_no = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                line_no, exc = line_no + line.count(b"\r", 0, bad.start), bad
+                break
+            line_no += line.count(b"\n") + line.count(b"\r") - line.count(b"\r\n")
+    return ParseError(f"{path}: not UTF-8 after line {line_no} ({exc.reason})")
+
+
+def _read_lines(fh, n: int, path) -> list[str]:
     try:
-        lines.extend(islice(fh, n))
+        return list(islice(fh, n))
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 after line {line_no + len(lines)} ({exc.reason})"
-        ) from None
-    return lines
+        raise _not_utf8(path, exc) from None
 
 
 def _reader_rows(lines: list[str], fh, line_no: int, path) -> tuple[list[list[str]], int]:
@@ -391,58 +404,10 @@ def _reader_rows(lines: list[str], fh, line_no: int, path) -> tuple[list[list[st
             if reader.line_num >= len(lines):
                 break
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 after line {line_no + reader.line_num} ({exc.reason})"
-        ) from None
+        raise _not_utf8(path, exc) from None
     except csv.Error as exc:
         raise ParseError(f"{path}: line {line_no + reader.line_num}: {exc}") from None
     return rows, reader.line_num
-
-
-def _split_chunks(fh, path):
-    """The header cells, then (row0, lines, rows) for every chunk of up to
-    _CHUNK_ROWS lines: ``row0`` rows precede the chunk, and either ``lines``
-    are its checked lines for numpy's text reader, or ``rows`` are
-    csv.reader's cells of the records that start in it.
-
-    The header, and a chunk holding a quote, a CR or one of \\x1c-\\x1f
-    (which numpy's reader strips around a number and float() does not), go
-    through csv.reader. In the other chunks a line of w fields is w - 1
-    commas, except a blank line, which csv.reader reads as no fields, and
-    str.split on ``,`` gives csv.reader's cells, as does numpy's reader.
-    Neither of those has csv's field size limit, so it is checked here.
-    A quoted cell can hold a line end, so rows and lines are counted apart.
-    """
-    limit = csv.field_size_limit()
-    header, line_no = _reader_rows(_read_lines(fh, 1, 0, path), fh, 0, path)
-    if not header:
-        return
-    width, row0 = len(header[0]), 0
-    yield header[0]
-    while lines := _read_lines(fh, _CHUNK_ROWS, line_no, path):
-        # held to the next chunk: freed at once, it raised the predict peak
-        # on the 76,519-row academic CSV by ~7 MB (glibc malloc placement)
-        text = "".join(lines)
-        if any(map(text.__contains__, '"\r\x1c\x1d\x1e\x1f')):
-            rows, n_lines = _reader_rows(lines, fh, line_no, path)
-            for i, row in enumerate(rows, row0 + 1):
-                if len(row) != width:
-                    raise ParseError(f"{path}: row {i} has {len(row)} values, expected {width}")
-            yield row0, None, rows
-            line_no, row0 = line_no + n_lines, row0 + len(rows)
-            continue
-        if max(map(len, lines)) > limit:  # no cell is longer than its line
-            for i, line in enumerate(lines, line_no + 1):
-                if max(map(len, line.rstrip("\n").split(","))) > limit:
-                    raise ParseError(f"{path}: line {i}: field larger than field limit ({limit})")
-        commas = list(map(str.count, lines, repeat(",")))
-        if commas.count(width - 1) != len(lines) or "\n" in lines:
-            for i, (line, count) in enumerate(zip(lines, commas), row0 + 1):
-                got = count + 1 if line != "\n" else 0
-                if got != width:
-                    raise ParseError(f"{path}: row {i} has {got} values, expected {width}")
-        yield row0, lines, None
-        line_no, row0 = line_no + len(lines), row0 + len(lines)
 
 
 def _read_columns(lines: list[str], usecols: list[int], dtype) -> np.ndarray:
@@ -462,73 +427,6 @@ def _read_columns(lines: list[str], usecols: list[int], dtype) -> np.ndarray:
     )
 
 
-def _read_numbers(lines: list[str], usecols: list[int]) -> np.ndarray | None:
-    """The numeric columns ``usecols`` of a chunk, read by numpy's reader, or
-    None when it rejects a cell or reads a number that is not finite. The
-    per-cell path then names the first fault, or loads the cells float()
-    accepts and the reader rejects (``1_0``, non-ASCII digits)."""
-    try:
-        numbers = _read_columns(lines, usecols, np.float64)
-    except ValueError:
-        return None
-    return numbers if np.isfinite(numbers).all() else None
-
-
-def _encode_chunks(path, columns: list[ColumnSchema], require_target: bool, chunks) -> Dataset:
-    header = next(chunks, None)
-    if header is None:
-        raise SchemaError(f"{path}: file is empty, expected a header row")
-    target_name = next(c.name for c in columns if c.kind == "target")
-    expected = {c.name for c in columns}
-    got = set(header)
-    if len(got) != len(header):
-        raise SchemaError(f"{path}: duplicate column in header")
-    missing = expected - got
-    if not require_target:
-        missing.discard(target_name)
-    if missing:
-        raise SchemaError(f"{path}: missing column '{sorted(missing)[0]}'")
-    extra = got - expected
-    if extra:
-        raise SchemaError(f"{path}: unexpected column '{sorted(extra)[0]}'")
-
-    width, position = len(header), {name: j for j, name in enumerate(header)}
-    read = [c for c in columns if c.kind != "skip" and c.name in position]
-    parts = {c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.int64)] for c in read}
-    index = {c.name: _category_index(c) for c in read if c.kind != "numeric"}
-    numeric = [c for c in read if c.kind == "numeric"]
-    labels = [c for c in read if c.kind != "numeric"]
-    numeric_cols = [position[c.name] for c in numeric]
-    label_cols = [position[c.name] for c in labels]
-    n_rows = 0
-    for row0, lines, rows in chunks:
-        numbers = None if lines is None else _read_numbers(lines, numeric_cols)
-        if numbers is not None:
-            block = dict(zip((c.name for c in numeric), numbers.T))
-            if labels:
-                strings = _read_columns(lines, label_cols, object)
-                block.update(zip((c.name for c in labels), strings.T))
-        else:  # the per-cell path, also for lines that numpy's reader rejects
-            rows = list(csv.reader(lines)) if rows is None else rows
-            flat = list(chain.from_iterable(rows))
-        for c in read:
-            if numbers is not None:
-                cells = block[c.name]
-            else:
-                cells = flat[position[c.name] :: width]
-                if c.kind == "numeric":
-                    cells = _parse_numeric(cells, c.name, path, row0)
-            if c.kind != "numeric":
-                cells = _category_codes(c, cells, index[c.name], row0, f"{path}: ")
-            parts[c.name].append(cells)
-        n_rows = row0 + len(rows if numbers is None else lines)
-    values = {}
-    for c in read:
-        merged = np.concatenate(parts.pop(c.name))
-        values[c.name] = merged if c.kind == "numeric" else (merged, tuple(index[c.name]))
-    return _assemble(columns, values, n_rows)
-
-
 def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> Dataset:
     """Load an RFC-4180-style CSV file against a column schema.
 
@@ -539,21 +437,100 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     The file is read once, front to back, and checked and encoded
     _CHUNK_ROWS lines at a time, so it is never held whole as Python
     strings. Numpy's C text reader reads a chunk without a double quote, a
-    CR or \\x1c-\\x1f: its numeric columns as one float block, its other
-    columns as str cells. On the 76,519-row academic CSV the load takes
-    0.84-0.95 s, against 1.19-1.35 s with str.split and float() per cell.
-    csv.reader reads the header and every other chunk, and reads on past a
-    chunk's last line only to close a quoted cell. A chunk in which numpy's
-    reader rejects a number or reads one that is not finite is split by
-    csv.reader and read per cell instead, which loads every number float()
-    accepts and names the first faulty cell. Text that is not UTF-8 or that
-    csv.reader rejects (say a cell over its field size limit) is a
-    ParseError naming the line, and every error naming a row starts with
-    the file name.
+    CR, \\x1c-\\x1f (which it strips around a number and float() does not)
+    or a line over csv's field size limit: its numeric columns as one float
+    block, its other columns as str cells. On the 76,519-row academic CSV
+    the load takes 0.84-0.95 s, against 1.19-1.35 s with float() per cell.
+    csv.reader reads the header and every other chunk. A chunk in which
+    numpy's reader rejects a number or reads one that is not finite is
+    split by csv.reader and read per cell instead, which loads every number
+    float() accepts.
+
+    Text that is not UTF-8 or that csv.reader rejects (say a cell over its
+    field size limit) is a ParseError naming the line, and every error
+    naming a row starts with the file name. Faults are reported chunk by
+    chunk in file order. Within a chunk, line faults (not UTF-8, a cell over
+    the field size limit, then a row of the wrong width) come before cell
+    faults, which come column by column in schema order, each column's
+    first: a bad number on row 2 and an over-long cell on line 5 give line 5.
     """
     _check_columns(columns)
     with open(path, encoding="utf-8", newline="") as fh:
-        return _encode_chunks(path, columns, require_target, _split_chunks(fh, path))
+        header, line_no = _reader_rows(_read_lines(fh, 1, path), fh, 0, path)
+        if not header:
+            raise SchemaError(f"{path}: file is empty, expected a header row")
+        header = header[0]
+        target_name = next(c.name for c in columns if c.kind == "target")
+        expected = {c.name for c in columns}
+        got = set(header)
+        if len(got) != len(header):
+            raise SchemaError(f"{path}: duplicate column in header")
+        missing = expected - got
+        if not require_target:
+            missing.discard(target_name)
+        if missing:
+            raise SchemaError(f"{path}: missing column '{sorted(missing)[0]}'")
+        extra = got - expected
+        if extra:
+            raise SchemaError(f"{path}: unexpected column '{sorted(extra)[0]}'")
+
+        width, position = len(header), {name: j for j, name in enumerate(header)}
+        read = [c for c in columns if c.kind != "skip" and c.name in position]
+        parts = {
+            c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.int64)] for c in read
+        }
+        index = {c.name: _category_index(c) for c in read if c.kind != "numeric"}
+        numeric = [c for c in read if c.kind == "numeric"]
+        labels = [c for c in read if c.kind != "numeric"]
+        numeric_cols = [position[c.name] for c in numeric]
+        label_cols = [position[c.name] for c in labels]
+        n_rows = 0
+        while lines := _read_lines(fh, _CHUNK_ROWS, path):
+            # text and rows are held until a later chunk rebinds them: freed at
+            # once, text raised the predict peak on the 76,519-row academic CSV
+            # by ~7 MB, and rows the load's peak on it with three quoted cells
+            # by ~15 MB (glibc malloc placement)
+            text = "".join(lines)
+            quoted = any(map(text.__contains__, '"\r\x1c\x1d\x1e\x1f'))
+            # numpy's reader has no field size limit; csv.reader checks it
+            per_cell = quoted or max(map(len, lines)) > csv.field_size_limit()
+            if per_cell:
+                rows, n_lines = _reader_rows(lines, fh, line_no, path)
+                widths = list(map(len, rows))
+            else:  # csv.reader splits these lines as str.split does, but a blank one to no fields
+                n_lines = len(lines)
+                widths = [line.count(",") + (line != "\n") for line in lines]
+            for i, n in enumerate(widths, n_rows + 1):
+                if n != width:
+                    raise ParseError(f"{path}: row {i} has {n} values, expected {width}")
+            if not per_cell:
+                try:
+                    numbers = _read_columns(lines, numeric_cols, np.float64)
+                    if not np.isfinite(numbers).all():
+                        raise ValueError
+                except ValueError:  # per cell: names the fault, or loads 1_0 as float() does
+                    per_cell, rows = True, list(csv.reader(lines))
+            if per_cell:
+                flat = list(chain.from_iterable(rows))
+                block = {c.name: flat[position[c.name] :: width] for c in read}
+            else:
+                block = dict(zip((c.name for c in numeric), numbers.T))
+                if labels:
+                    strings = _read_columns(lines, label_cols, object)
+                    block.update(zip((c.name for c in labels), strings.T))
+            for c in read:
+                cells = block[c.name]
+                if c.kind != "numeric":
+                    cells = _category_codes(c, cells, index[c.name], n_rows, f"{path}: ")
+                elif per_cell:
+                    cells = _parse_numeric(cells, c.name, path, n_rows)
+                parts[c.name].append(cells)
+            line_no, n_rows = line_no + n_lines, n_rows + len(widths)
+    values = {}
+    for c in read:
+        merged = np.concatenate(parts.pop(c.name))
+        values[c.name] = merged if c.kind == "numeric" else (merged, tuple(index[c.name]))
+    return _assemble(columns, values, n_rows)
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

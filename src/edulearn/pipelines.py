@@ -629,31 +629,31 @@ DEFAULT_SIZES = {"style": 200, "academic": 5000}
 
 def task_dataset(
     task: str, csv_path: str | None, schema_path: str | None, n: int | None, seed: int
-) -> tuple[Dataset, str]:
-    """The model features and the data source ("synthetic" or "external") of
-    one training run.
+) -> Dataset:
+    """The model features of one training run.
 
     Without ``csv_path`` the task's generator draws ``n`` students or rows
     (default DEFAULT_SIZES) from ``seed``. A CSV is read against the schema
     document at ``schema_path``, or else the task's own schema (the packaged
-    public-dataset schema for academic); a target in it with fewer than two
-    classes is a LabelError.
+    public-dataset schema for academic); rows that show fewer than two
+    classes are a LabelError, whatever classes the schema declares.
     """
     n = DEFAULT_SIZES[task] if n is None else n
     if csv_path is None:
         if task == "style":
             sessions = generate_style_sessions(StyleGenConfig(n_students=n, seed=seed))
-            return build_style_dataset(sessions), "synthetic"
-        return generate_academic_synthetic(n, seed), "synthetic"
+            return build_style_dataset(sessions)
+        return generate_academic_synthetic(n, seed)
     if schema_path is not None:
         columns = data_mod.read_schema(schema_path)
     else:
         columns = style_schema() if task == "style" else packaged_academic_schema()
     ds = data_mod.load_csv(csv_path, columns)
-    if len(ds.class_names) < 2:
+    observed = np.flatnonzero(np.bincount(ds.targets))
+    if observed.size < 2:
         target = next(c.name for c in columns if c.kind == "target")
         raise LabelError(
             f"{csv_path}: target '{target}': training needs at least 2 classes, "
-            f"got {list(ds.class_names)}"
+            f"got {[ds.class_names[k] for k in observed]}"
         )
-    return task_features(task, ds), "external"
+    return task_features(task, ds)

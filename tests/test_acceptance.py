@@ -53,7 +53,8 @@ def _report(n, message):
 
 
 def _fit_academic(csv_path, n, seed, solver, split_spec):
-    ds, data_source = task_dataset("academic", csv_path, None, n, seed)
+    ds = task_dataset("academic", csv_path, None, n, seed)
+    data_source = "synthetic" if csv_path is None else "external"
     opt = OptimizerConfig(solver=solver)
     return fit_dataset(ds, opt, split_spec, data_source, "academic")
 

@@ -38,10 +38,10 @@ def _bundle_arrays(bundle):
 
 @pytest.mark.parametrize("task, solver", _RUNS)
 def test_datasets_and_bundles_hold_read_only_arrays(task, solver):
-    ds, source = pipelines.task_dataset(task, None, None, 20 if task == "style" else 200, 5)
+    ds = pipelines.task_dataset(task, None, None, 20 if task == "style" else 200, 5)
     train, test = split(ds, SplitSpec(0.7, 5))
     opt = OptimizerConfig(solver=solver, max_iter=30, epochs=3, l2=0.1)
-    _, bundle = pipelines.fit_dataset(ds, opt, SplitSpec(0.7, 5), source, task)
+    _, bundle = pipelines.fit_dataset(ds, opt, SplitSpec(0.7, 5), "synthetic", task)
     loaded = cli.model_from_doc(cli.model_to_doc(bundle, opt))
     x = transform(bundle.scaler, test.features)
     for arr in (

@@ -386,25 +386,37 @@ def test_class_name_with_lone_cr_exits_1(tmp_path, declared):
     assert not (tmp_path / "r_model.json").exists()
 
 
-@pytest.mark.parametrize("declared", [True, False], ids=["declared", "observed"])
-def test_train_one_class_target_exits_1(tmp_path, declared):
+@pytest.mark.parametrize(
+    "allowed, rows, got",
+    [
+        (["visual"], True, ["visual"]),
+        (None, True, ["visual"]),
+        (["auditory", "visual"], True, ["visual"]),
+        (["auditory", "visual"], False, []),
+    ],
+    ids=["declared", "observed", "declared-two-observed-one", "header-only"],
+)
+def test_train_one_class_target_exits_1(tmp_path, allowed, rows, got):
     r = run_cli(["generate", "--kind", "style", "--n", "10", "--seed", "1",
                  "--visual-fraction", "1", "--out", "v_"], tmp_path)
     assert r.returncode == 0, r.stderr
     doc = json.loads((tmp_path / "v_schema.json").read_text())
     target = doc["columns"][-1]
     assert target["name"] == "style"
-    if declared:
-        target["allowed_values"] = ["visual"]
-    else:
+    if allowed is None:
         del target["allowed_values"]
+    else:
+        target["allowed_values"] = allowed
     (tmp_path / "v_schema.json").write_text(json.dumps(doc))
+    if not rows:
+        data = tmp_path / "v_data.csv"
+        data.write_text(data.read_text().splitlines(keepends=True)[0])
     r = run_cli(["train", "--task", "style", "--input", "v_data.csv", "--schema", "v_schema.json",
                  "--out", "o_"], tmp_path)
     assert r.returncode == 1, r.stderr
     assert r.stderr == (
         "error[LabelError]: v_data.csv: target 'style': training needs at least 2 classes, "
-        "got ['visual']\n"
+        f"got {got}\n"
     ), r.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v_data.csv", "v_schema.json"]
 

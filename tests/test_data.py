@@ -315,6 +315,39 @@ def test_load_csv_non_utf8_past_the_first_chunk(tmp_path, path_kind):
         load_csv(path, BASIC_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "text, chunk_rows, line",
+    [
+        (b"x,Target\n" + b"2.0,B\n" * 101 + b"\xff,A\n", 8192, 102),
+        (b"x,Target\n" + b"2.0,B\n" * 5001 + b"\xff,A\n", 8192, 5002),
+        (b"x,Target\r" + b"2.0,B\r" * 2000 + b"2.0,\xff\r", 8192, 2001),
+        (b'x,Target\n2.0,B\n"3.0\n' + b"4\n" * 20_000 + b'\xff",A\n', 2, 20_003),
+    ],
+    ids=["101-rows", "5001-rows", "cr-line-ends", "quoted-cell-read-on"],
+)
+def test_load_csv_non_utf8_names_the_line_before_the_bad_byte(tmp_path, text, chunk_rows, line):
+    """The text layer decodes the file in blocks; the message still names
+    the last line before the bad byte, counting lines as that layer does."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    message = f"{path}: not UTF-8 after line {line} ("
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            load_csv(path, BASIC_SCHEMA)
+
+
+@pytest.mark.parametrize("first", ["1.0,A", '"1.0",A'], ids=list(_PATH_ROW))
+@pytest.mark.parametrize("row2", ["oops,B", "1.0"], ids=["bad-number", "short-row"])
+def test_load_csv_reports_line_faults_before_cell_faults(tmp_path, first, row2):
+    """In one chunk, a cell over the field size limit on line 5 is reported
+    before a bad number or a short row on row 2 (line 3)."""
+    text = f"x,Target\n{first}\n{row2}\n2.0,B\n{'y' * 131_073},A\n"
+    path = _write(tmp_path, "d.csv", text)
+    message = f"{path}: line 5: field larger than field limit (131072)"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_csv(path, BASIC_SCHEMA)
+
+
 def _reference_load(path, schema, require_target):
     """load_csv as one csv.reader pass plus encode_columns, or None where it
     must raise."""

@@ -52,7 +52,8 @@ def _fit_style(gen, opt, split_spec):
 
 
 def _fit_academic(csv_path, schema_path, n, seed, opt, split_spec):
-    ds, data_source = task_dataset("academic", csv_path, schema_path, n, seed)
+    ds = task_dataset("academic", csv_path, schema_path, n, seed)
+    data_source = "synthetic" if csv_path is None else "external"
     return fit_dataset(ds, opt, split_spec, data_source, "academic")
 
 

@@ -1,0 +1,31 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "edulearn"
+
+
+def _names(node) -> Counter:
+    """Every name read, attribute taken or name imported under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_private_function_and_class_is_used():
+    """A module-level private function or class of edulearn is referenced
+    in edulearn outside its own definition, so no fold leaves one behind."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC_DIR.glob("*.py"))]
+    used = sum(map(_names, trees), Counter())
+    orphans = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _names(node)[node.name]
+    ]
+    assert orphans == []
