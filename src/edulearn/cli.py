@@ -24,7 +24,7 @@ import numpy as np
 from . import data as data_mod
 from . import pipelines
 from .classify import SOLVERS, LogisticModel, OptimizerConfig, classes_from_proba, predict_proba
-from .data import ScalerParams, transform
+from .data import ScalerParams
 from .errors import EdulearnError, ParameterError, SchemaError
 
 REPORT_VERSION = 3
@@ -318,16 +318,19 @@ def cmd_train(args, seed: int) -> int:
 def cmd_predict(args) -> int:
     bundle = model_from_doc(data_mod.read_json(args.model))
     model, feature_names = bundle.model, bundle.feature_names
-    raw = data_mod.load_csv(args.input, bundle.schema, require_target=False)
-    ds = pipelines.task_features(bundle.task, raw)
+    ds = pipelines.task_features(
+        bundle.task, data_mod.load_csv(args.input, bundle.schema, require_target=False)
+    )
     if ds.feature_names != feature_names:
         missing = [n for n in feature_names if n not in ds.feature_names]
         extra = [n for n in ds.feature_names if n not in feature_names]
         raise SchemaError(
             f"input features do not match the model (missing {missing}, unexpected {extra})"
         )
-    proba = predict_proba(model, transform(bundle.scaler, ds.features))
-    del raw, ds  # the input's features, no longer needed while the file is written
+    x = data_mod.assemble(ds)
+    del ds  # the input's table: the matrix is all that is read from here on
+    proba = predict_proba(model, data_mod._standardize(bundle.scaler, x, x))
+    del x  # no longer needed while the file is written
     names = [model.class_names[k] for k in classes_from_proba(proba).tolist()]
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]

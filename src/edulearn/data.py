@@ -13,12 +13,13 @@ order::
       ]
     }
 
-Column kinds: ``numeric`` (parsed as float), ``categorical`` (one-hot
-encoded, one output column per allowed or observed value), ``target``
-(mapped to class indices), and ``skip`` (present in the file, excluded from
-features — e.g. row ids). Categorical values without an ``allowed_values``
-list are encoded in first-appearance order. Missing cells are an error, not
-imputed.
+Column kinds: ``numeric`` (parsed as float), ``categorical`` (encoded as
+category codes, one-hot expanded by ``assemble`` into one output column per
+allowed or observed value), ``target`` (mapped to class indices), and
+``skip`` (present in the file, excluded from features — e.g. row ids). A
+schema needs one target and at least one numeric or categorical column.
+Categorical values without an ``allowed_values`` list are encoded in
+first-appearance order. Missing cells are an error, not imputed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,6 +60,7 @@ __all__ = [
     "read_schema",
     "encode_columns",
     "load_csv",
+    "assemble",
     "split_indices",
     "split",
     "fit_scaler",
@@ -104,45 +108,78 @@ def _check_columns(columns: list[ColumnSchema]) -> None:
     n_targets = sum(1 for c in columns if c.kind == "target")
     if n_targets != 1:
         raise SchemaError(f"schema must have exactly one target column, found {n_targets}")
+    if not any(c.kind in ("numeric", "categorical") for c in columns):
+        raise SchemaError("schema has no feature column (numeric or categorical)")
+
+
+def _categories(columns) -> dict[str, tuple[str, ...]]:
+    """The categories of each categorical column, by name."""
+    return {c.name: c.allowed_values or () for c in columns if c.kind == "categorical"}
+
+
+def _code_type(n_categories: int) -> np.dtype:
+    """The narrowest unsigned type that holds the codes of ``n_categories``."""
+    return np.min_scalar_type(max(n_categories - 1, 0))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = np.ascontiguousarray(arr).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Encoded feature matrix plus class-index targets and naming metadata.
+    """The encoded table of a data source: one array per feature column, the
+    class-index targets and the resolved schema. ``assemble`` builds its
+    one-hot feature matrix, for any selection of its rows.
+
+    ``features`` maps each feature column, in the order of the matrix's
+    columns, to its values: a categorical column of ``columns`` to its
+    category codes, held in the narrowest unsigned type that fits its
+    categories, and any other (a numeric column, or one derived from them
+    such as the style task's score_diff) to its float64 values.
 
     Unlabeled datasets (prediction inputs loaded with ``require_target=False``)
-    carry empty targets; labeled datasets have one target per feature row.
+    carry empty targets; labeled datasets have one int64 target per row.
     ``columns`` is the schema the data was encoded against, with every open
-    categorical and target value set pinned to the order the data showed.
-    Saving it with a model keeps the one-hot column order of later
-    prediction inputs the same.
+    categorical and target value set pinned to the order the data showed:
+    a categorical column's allowed_values there are its categories. Saving
+    it with a model keeps the one-hot column order of later prediction
+    inputs the same.
 
-    The fields are read-only views: of the given arrays themselves when the
-    features are C-ordered float64 and the targets int64, else of copies.
+    The arrays are read-only views: of the given arrays themselves when
+    they are C-ordered and of their type already, else of copies.
     """
 
-    features: np.ndarray
+    features: Mapping[str, np.ndarray]
     targets: np.ndarray
-    feature_names: tuple[str, ...]
-    class_names: tuple[str, ...]
     columns: tuple[ColumnSchema, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "features", frozen(as_matrix(self.features)))
-        targets = np.asarray(self.targets, dtype=np.int64).view()
-        targets.setflags(write=False)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "columns", tuple(self.columns))
-        rows, cols = self.features.shape
-        if self.targets.size and rows != self.targets.shape[0]:
+        categories = _categories(self.columns)
+        features = {}
+        for name, values in self.features.items():
+            if name in categories:
+                codes, k = np.asarray(values), len(categories[name])
+                if codes.dtype.kind not in "iu" or (
+                    codes.size and (codes.min() < 0 or codes.max() >= k)
+                ):
+                    raise LabelError(f"column '{name}': category codes outside [0, {k})")
+                features[name] = _read_only(codes.astype(_code_type(k), copy=False))
+            else:
+                features[name] = frozen(as_vector(values))
+        shapes = {values.shape for values in features.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise DimensionError(
-                f"dataset has {rows} feature rows but {self.targets.shape[0]} targets"
+                f"dataset needs feature columns of one length, got shapes {sorted(shapes)}"
             )
-        if len(self.feature_names) != cols:
+        object.__setattr__(self, "features", MappingProxyType(features))
+        object.__setattr__(self, "targets", _read_only(np.asarray(self.targets, np.int64)))
+        if self.targets.size and self.n_rows != self.targets.shape[0]:
             raise DimensionError(
-                f"dataset has {cols} feature columns but {len(self.feature_names)} feature names"
+                f"dataset has {self.n_rows} feature rows but {self.targets.shape[0]} targets"
             )
         if self.targets.size and (
             self.targets.min() < 0 or self.targets.max() >= len(self.class_names)
@@ -151,7 +188,21 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return next(iter(self.features.values())).shape[0]
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        """The names of the matrix's columns: a categorical column's one per
+        category, as ``name=category``."""
+        categories = _categories(self.columns)
+        return tuple(chain.from_iterable(
+            (f"{name}={v}" for v in categories[name]) if name in categories else (name,)
+            for name in self.features
+        ))
+
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        return next((c.allowed_values or () for c in self.columns if c.kind == "target"), ())
 
 
 @dataclass(frozen=True)
@@ -267,7 +318,8 @@ def _category_codes(
     precede these cells), after the ``where`` prefix.
 
     Cells are compared as Python strings (an object array), so a cell such as
-    'yes\\x00' stays distinct from 'yes'.
+    'yes\\x00' stays distinct from 'yes'. The codes are in the narrowest
+    unsigned type that holds the codes of ``index`` after the call.
     """
     cells = np.asarray(cells, dtype=object)
     if col.allowed_values is None:
@@ -281,51 +333,53 @@ def _category_codes(
             f"{where}row {row0 + bad[0] + 1}, {kind} '{col.name}': "
             f"value '{cells[bad[0]]}' not in allowed_values"
         )
-    return codes
+    return codes.astype(_code_type(len(index)))
 
 
 def _category_index(col: ColumnSchema) -> dict:
     return {v: k for k, v in enumerate(col.allowed_values or ())}
 
 
-def _assemble(columns: list[ColumnSchema], values: dict, n_rows: int) -> Dataset:
+def _encoded(columns: list[ColumnSchema], values: dict, index: dict) -> Dataset:
     """The Dataset of encoded columns. ``values`` holds the floats of every
-    numeric column and the (codes, categories) of every categorical and target
-    column; a target missing from it leaves the targets empty. Feature columns
-    appear in schema order, each categorical expanded in place into one
-    indicator column per category, and the resolved schema pins every open
-    value set to its categories."""
-    target = next(c for c in columns if c.kind == "target")
-    targets, class_names = np.zeros(0, dtype=np.int64), target.allowed_values or ()
-    width = sum(
-        len(values[c.name][1]) if c.kind == "categorical" else 1
-        for c in columns
-        if c.kind in ("numeric", "categorical")
-    )
-    features = np.zeros((n_rows, width))
-    feature_names: list[str] = []
-    resolved: list[ColumnSchema] = []
-    for col in columns:
-        j = len(feature_names)
-        if col.kind == "numeric":
-            features[:, j] = values[col.name]
-            feature_names.append(col.name)
-        elif col.name in values:
-            codes, categories = values[col.name]
-            if col.kind == "categorical":
-                features[np.arange(n_rows), j + codes] = 1.0
-                feature_names.extend(f"{col.name}={v}" for v in categories)
-            else:
-                targets, class_names = codes, categories
-            col = replace(col, allowed_values=categories or None)
-        resolved.append(col)
+    numeric column and the codes of every categorical and target column,
+    whose categories are the keys of its ``index``; a target missing from
+    it leaves the targets empty. The resolved schema pins every open value
+    set to its categories."""
+    target = next(c.name for c in columns if c.kind == "target")
     return Dataset(
-        features=features,
-        targets=targets,
-        feature_names=tuple(feature_names),
-        class_names=class_names,
-        columns=tuple(resolved),
+        features={c.name: values[c.name] for c in columns if c.kind in ("numeric", "categorical")},
+        targets=values.get(target, np.zeros(0, np.int64)),
+        columns=[
+            replace(c, allowed_values=tuple(index[c.name]) or None) if c.name in index else c
+            for c in columns
+        ],
     )
+
+
+def assemble(ds: Dataset, rows=None, feature_major: bool = False) -> np.ndarray:
+    """The one-hot feature matrix of ``ds``'s rows ``rows`` (all of them when
+    None), in that order: an n x d float64 matrix, or with ``feature_major``
+    its d x n transpose, C-ordered either way. Its columns follow
+    ``ds.features``; each categorical expands in place into one indicator
+    column per category, in category order. The matrix is new and writable,
+    so its caller can scale it in place.
+    """
+    categories = _categories(ds.columns)
+    n = ds.n_rows if rows is None else len(rows)
+    width = sum(len(categories[name]) if name in categories else 1 for name in ds.features)
+    out = np.zeros((width, n) if feature_major else (n, width))
+    by_feature, cells, j = out if feature_major else out.T, np.arange(n), 0
+    for name, values in ds.features.items():
+        if rows is not None:
+            values = values[rows]
+        if name in categories:
+            by_feature[np.add(values, j, dtype=np.intp), cells] = 1.0
+            j += len(categories[name])
+        else:
+            by_feature[j] = values
+            j += 1
+    return out
 
 
 def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = True) -> Dataset:
@@ -333,10 +387,9 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
 
     ``cells`` maps column names to equal-length sequences: floats for numeric
     columns, strings for categorical and target columns; skip columns and
-    other names are ignored. Feature columns appear in schema order; each
-    categorical expands in place into one indicator column per category.
-    With ``require_target=False`` the target may be absent; the dataset then
-    has zero-length targets. A numeric value that is not finite is a
+    other names are ignored. Feature columns appear in schema order. With
+    ``require_target=False`` the target may be absent; the dataset then has
+    zero-length targets. A numeric value that is not finite is a
     ParameterError naming its row and column.
     """
     _check_columns(columns)
@@ -350,9 +403,8 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     lengths = {len(v) for v in cells.values()}
     if len(lengths) > 1:
         raise DimensionError(f"columns have different lengths {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
 
-    values: dict = {}
+    values, index = {}, {}
     for col in columns:
         if col.kind == "numeric":
             column = values[col.name] = np.asarray(cells[col.name], dtype=np.float64)
@@ -360,9 +412,9 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
                 i = np.flatnonzero(~np.isfinite(column))[0]
                 raise ParameterError(f"row {i + 1}, column '{col.name}': {column[i]} is not finite")
         elif col.kind != "skip" and col.name in cells:
-            index = _category_index(col)
-            values[col.name] = (_category_codes(col, cells[col.name], index), tuple(index))
-    return _assemble(columns, values, n_rows)
+            index[col.name] = _category_index(col)
+            values[col.name] = _category_codes(col, cells[col.name], index[col.name])
+    return _encoded(columns, values, index)
 
 
 # lines that load_csv reads, checks and encodes at a time
@@ -428,7 +480,9 @@ def _read_columns(lines: list[str], usecols: list[int], dtype) -> np.ndarray:
 
 
 def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> Dataset:
-    """Load an RFC-4180-style CSV file against a column schema.
+    """Load an RFC-4180-style CSV file against a column schema, as the
+    encoded Dataset: float64 numeric columns and category codes, with no
+    one-hot matrix (``assemble`` builds one).
 
     The header must match the schema names exactly (order-insensitive).
     With ``require_target=False`` the target column may be absent (for
@@ -477,7 +531,7 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
         width, position = len(header), {name: j for j, name in enumerate(header)}
         read = [c for c in columns if c.kind != "skip" and c.name in position]
         parts = {
-            c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.int64)] for c in read
+            c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.uint8)] for c in read
         }
         index = {c.name: _category_index(c) for c in read if c.kind != "numeric"}
         numeric = [c for c in read if c.kind == "numeric"]
@@ -526,11 +580,10 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
                     cells = _parse_numeric(cells, c.name, path, n_rows)
                 parts[c.name].append(cells)
             line_no, n_rows = line_no + n_lines, n_rows + len(widths)
-    values = {}
-    for c in read:
-        merged = np.concatenate(parts.pop(c.name))
-        values[c.name] = merged if c.kind == "numeric" else (merged, tuple(index[c.name]))
-    return _assemble(columns, values, n_rows)
+    # each chunk's codes are as narrow as its column's categories then were,
+    # so the concatenation is as narrow as they are at the end
+    values = {c.name: np.concatenate(parts.pop(c.name)) for c in read}
+    return _encoded(columns, values, index)
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -550,28 +603,38 @@ def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Seeded uniform row split of split_indices."""
-    train, test = split_indices(ds.n_rows, spec)
-    return (
-        replace(ds, features=ds.features[train], targets=ds.targets[train]),
-        replace(ds, features=ds.features[test], targets=ds.targets[test]),
+    """Seeded uniform row split of split_indices: the Datasets of its train
+    and test rows."""
+    train, test = (
+        replace(ds, features={k: v[rows] for k, v in ds.features.items()}, targets=ds.targets[rows])
+        for rows in split_indices(ds.n_rows, spec)
     )
+    return train, test
 
 
 def fit_scaler(x) -> ScalerParams:
-    """Per-column mean and population standard deviation (divide by n).
+    """Per-column mean and population standard deviation (divide by n) of an
+    n x d matrix, row-major or the ``.T`` view of a feature-major one.
 
-    Columns with std below 1e-12 (constant columns) get std clamped to 1 so
-    the transform is a pure centering for them.
+    Each column is reduced on its own, with no temporary the size of ``x``,
+    to the bits of numpy's axis-0 mean over the row-major matrix: that adds
+    the rows in order when d >= 2, and sums pairwise (as ``np.sum``) when
+    d = 1. Columns with std below 1e-12 (constant columns) get std clamped
+    to 1 so the transform is a pure centering for them.
     """
     xm = as_matrix(x)
-    if xm.shape[0] < 1:
+    n, d = xm.shape
+    if n < 1:
         raise DimensionError("fit_scaler needs at least one row")
+    total = np.sum if d == 1 else (lambda column: np.add.accumulate(column)[-1])
+    means, stds = np.empty(d), np.empty(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = xm.mean(axis=0)
-        sq = xm - means  # the one temporary the size of x, squared in place
-        np.multiply(sq, sq, out=sq)
-        stds = np.sqrt(np.mean(sq, axis=0))
+        for j in range(d):
+            means[j] = total(xm[:, j]) / n
+            dev = xm[:, j] - means[j]
+            np.multiply(dev, dev, out=dev)
+            stds[j] = total(dev) / n
+        np.sqrt(stds, out=stds)
     bad = np.flatnonzero(~np.isfinite(stds))  # a non-finite mean leaves its std non-finite
     if bad.size:
         raise DegenerateDataError(

@@ -1,8 +1,11 @@
 """Shape checks, read-only arrays and the symmetric positive definite solver.
 
 Every numeric field and return value in edulearn is a C-ordered float64
-ndarray made read-only by ``frozen``. The shape checks check only the number
-of dimensions: finiteness is checked where values enter the program.
+ndarray made read-only by ``frozen``, but for a Dataset's category codes and
+targets, which are read-only integers, and ``data.assemble``'s one-hot
+matrix, which is new and writable so that its caller scales it in place. The
+shape checks check only the number of dimensions: finiteness is checked
+where values enter the program.
 """
 
 from __future__ import annotations

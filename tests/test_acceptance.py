@@ -282,7 +282,7 @@ def test_criterion_7_style_pipeline():
     perm = np.random.default_rng(split_spec.seed).permutation(ds.n_rows)
     n_train = math.floor(ds.n_rows * split_spec.train_fraction + 0.5)
     tr, te = perm[:n_train], perm[n_train:]
-    diff, y = ds.features[:, 0], ds.targets
+    diff, y = ds.features["score_diff"], ds.targets
     cands = np.sort(np.unique(diff[tr]))
     thresholds = np.concatenate([[-np.inf], (cands[:-1] + cands[1:]) / 2, [np.inf]])
     best_acc, best_t = max(

@@ -1,5 +1,6 @@
 """Every numeric field and return value of edulearn is a read-only C-ordered
-float64 ndarray, and no run builds a DenseMatrix or DenseVector."""
+float64 ndarray (but for integer codes and targets, and the one-hot matrix
+its caller owns), and no run builds a DenseMatrix or DenseVector."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from edulearn.classify import (
     predict_proba,
     softmax_loss_grad,
 )
-from edulearn.data import SplitSpec, inverse_transform, split, transform
+from edulearn.data import SplitSpec, assemble, inverse_transform, split, transform
 from edulearn.regress import (
     LinearModel,
     fit_lasso,
@@ -43,11 +44,12 @@ def test_datasets_and_bundles_hold_read_only_arrays(task, solver):
     opt = OptimizerConfig(solver=solver, max_iter=30, epochs=3, l2=0.1)
     _, bundle = pipelines.fit_dataset(ds, opt, SplitSpec(0.7, 5), "synthetic", task)
     loaded = cli.model_from_doc(cli.model_to_doc(bundle, opt))
-    x = transform(bundle.scaler, test.features)
+    x = transform(bundle.scaler, assemble(test))
+    columns = [v for d in (ds, train, test) for v in d.features.values()]
+    for codes in [v for v in columns if v.dtype != np.float64] + [ds.targets]:
+        assert codes.dtype.kind in "iu" and not codes.flags.writeable
     for arr in (
-        ds.features,
-        train.features,
-        test.features,
+        *(v for v in columns if v.dtype == np.float64),
         *_bundle_arrays(bundle),
         *_bundle_arrays(loaded),
         x,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from edulearn import cli, pipelines
 from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, predict_proba
-from edulearn.data import ColumnSchema, ScalerParams, load_csv, transform
+from edulearn.data import ColumnSchema, ScalerParams, assemble, load_csv, transform
 from edulearn.errors import ParameterError
 from edulearn.cli import dumps_canonical, main, model_from_doc
 
@@ -177,13 +177,18 @@ def test_train_config_echo_reflects_flags(tmp_path):
 
 
 def test_train_deterministic_bytes(tmp_path):
-    args = ["train", "--task", "style", "--n", "80", "--seed", "42", "--json"]
-    r1 = run_cli([*args, "--out", "x_"], tmp_path)
-    r2 = run_cli([*args, "--out", "y_"], tmp_path)
-    assert r1.returncode == 0, r1.stderr
-    assert r2.returncode == 0, r2.stderr
-    assert (tmp_path / "x_report.json").read_bytes() == (tmp_path / "y_report.json").read_bytes()
-    assert (tmp_path / "x_model.json").read_bytes() == (tmp_path / "y_model.json").read_bytes()
+    # any non-negative seed, past 64 bits too, is accepted and echoed exactly
+    for seed in ("42", "123456789012345678901"):
+        args = ["train", "--task", "style", "--n", "80", "--seed", seed, "--json"]
+        r1 = run_cli([*args, "--out", f"x{seed}_"], tmp_path)
+        r2 = run_cli([*args, "--out", f"y{seed}_"], tmp_path)
+        assert r1.returncode == 0, r1.stderr
+        assert r2.returncode == 0, r2.stderr
+        report = (tmp_path / f"x{seed}_report.json").read_bytes()
+        assert report == (tmp_path / f"y{seed}_report.json").read_bytes()
+        model = (tmp_path / f"x{seed}_model.json").read_bytes()
+        assert model == (tmp_path / f"y{seed}_model.json").read_bytes()
+        assert json.loads(report)["config_echo"]["seed"] == int(seed)
 
 
 def test_train_prints_text_block_by_default(tmp_path):
@@ -321,7 +326,7 @@ def test_predictions_csv_in_blocks_is_what_csv_writer_writes(tmp_path, monkeypat
                  "--l2", "0.1", "--json", "--out", "q_"]) == 0
     assert main(["predict", "--model", "q_model.json", "--input", "q.csv", "--out", "q_"]) == 0
     bundle = model_from_doc(json.loads((tmp_path / "q_model.json").read_text()))
-    x = transform(bundle.scaler, load_csv("q.csv", bundle.schema).features)
+    x = transform(bundle.scaler, assemble(load_csv("q.csv", bundle.schema)))
     names = [classes[k] for k in predict(bundle.model, x).tolist()]
     proba = predict_proba(bundle.model, x).tolist()
     buf = io.StringIO()
@@ -419,6 +424,34 @@ def test_train_one_class_target_exits_1(tmp_path, allowed, rows, got):
         f"got {got}\n"
     ), r.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v_data.csv", "v_schema.json"]
+
+
+def test_schema_without_a_feature_column_exits_1(tmp_path):
+    """A schema whose only non-skip column is the target has nothing to
+    learn from: train refuses it rather than fit an intercept-only model,
+    and predict refuses a model.json holding it."""
+    (tmp_path / "d.csv").write_text("id,y\n" + "".join(f"r{i},{'abc'[i % 3]}\n" for i in range(60)))
+    schema = {"schema_version": 1, "columns": [{"name": "id", "kind": "skip"},
+                                               {"name": "y", "kind": "target"}]}
+    (tmp_path / "s.json").write_text(json.dumps(schema))
+    message = "schema has no feature column (numeric or categorical)"
+    r = run_cli(["train", "--task", "academic", "--input", "d.csv", "--schema", "s.json",
+                 "--out", "t_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == f"error[SchemaError]: {message}\n", r.stderr
+    schema["columns"][1]["allowed_values"] = ["a", "b", "c"]
+    model = {
+        "model_version": 1, "task": "academic", "model_type": "multinomial",
+        "class_names": ["a", "b", "c"], "feature_names": [], "weights": [[], [], []],
+        "intercepts": [0.5, 0.0, -0.5], "converged": True, "iterations_used": 3,
+        "config": cli.config_to_doc(OptimizerConfig()),
+        "scaler": {"means": [], "stds": []}, "schema": schema,
+    }
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    r = run_cli(["predict", "--model", "m.json", "--input", "d.csv", "--out", "p_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == f"error[SchemaError]: malformed model document: {message}\n", r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "s.json"]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -16,6 +16,7 @@ from edulearn.data import (
     Dataset,
     ScalerParams,
     SplitSpec,
+    assemble,
     encode_columns,
     fit_scaler,
     inverse_transform,
@@ -53,7 +54,7 @@ BASIC_SCHEMA = [
 def test_load_csv_basic(tmp_path):
     path = _write(tmp_path, "d.csv", "x,Target\n1.5,A\n2.5,B\n")
     ds = load_csv(path, BASIC_SCHEMA)
-    assert ds.features.tolist() == [[1.5], [2.5]]
+    assert assemble(ds).tolist() == [[1.5], [2.5]]
     assert ds.targets.tolist() == [0, 1]
     assert ds.feature_names == ("x",)
     assert ds.class_names == ("A", "B")
@@ -67,7 +68,7 @@ def test_load_csv_one_hot(tmp_path):
     path = _write(tmp_path, "d.csv", "color,Target\nred,A\nblue,B\nred,A\n")
     ds = load_csv(path, schema)
     assert ds.feature_names == ("color=red", "color=blue")
-    assert ds.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert assemble(ds).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
 
 def test_load_csv_target_order_is_allowed_values(tmp_path):
@@ -83,7 +84,7 @@ def test_load_csv_target_order_is_allowed_values(tmp_path):
 def test_load_csv_header_order_insensitive(tmp_path):
     path = _write(tmp_path, "d.csv", "Target,x\nA,1.5\nB,2.5\n")
     ds = load_csv(path, BASIC_SCHEMA)
-    assert ds.features.tolist() == [[1.5], [2.5]]
+    assert assemble(ds).tolist() == [[1.5], [2.5]]
 
 
 def test_load_csv_missing_column_named(tmp_path):
@@ -148,7 +149,7 @@ def test_encode_columns_matches_load_csv(tmp_path):
     cells = {"c": ["red", "blue", "red"], "x": [1.5, 2.0, -3.0], "Target": ["yes", "no", "yes"]}
     loaded, encoded = load_csv(path, schema), encode_columns(schema, cells)
     assert encoded.feature_names == loaded.feature_names == ("c=red", "c=blue", "x")
-    assert np.array_equal(encoded.features, loaded.features)
+    assert np.array_equal(assemble(encoded), assemble(loaded))
     assert encoded.targets.tolist() == loaded.targets.tolist() == [0, 1, 0]
     assert encoded.class_names == loaded.class_names == ("yes", "no")
     assert encoded.columns == loaded.columns
@@ -158,7 +159,22 @@ def test_encode_columns_matches_load_csv(tmp_path):
     with pytest.raises(DimensionError):
         encode_columns(schema, {**cells, "x": [1.0]})
     unlabeled = encode_columns(schema, {"c": ["red"], "x": [1.0]}, require_target=False)
-    assert unlabeled.targets.size == 0 and unlabeled.features.shape[0] == 1
+    assert unlabeled.targets.size == 0 and unlabeled.n_rows == 1
+
+    # 300 categories: codes past one byte, indicator columns in first-appearance order
+    wide = [f"v{(7 * i) % 300}" for i in range(600)]
+    path = _write(tmp_path, "w.csv", "id,c,x,Target\n" + "".join(
+        f"r{i},{v},{i},{'yes' if i % 2 else 'no'}\n" for i, v in enumerate(wide)))
+    cells = {"c": wide, "x": list(map(float, range(600))), "Target": ["no", "yes"] * 300}
+    loaded, encoded = load_csv(path, schema), encode_columns(schema, cells)
+    _assert_same_dataset(loaded, encoded)
+    order = list(dict.fromkeys(wide))
+    assert len(order) == 300 and loaded.features["c"].dtype == np.uint16
+    assert loaded.feature_names == (*(f"c={v}" for v in order), "x")
+    want = np.zeros((600, 301))
+    want[np.arange(600), [order.index(v) for v in wide]] = 1.0
+    want[:, 300] = np.arange(600)
+    assert assemble(loaded).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -183,7 +199,7 @@ def test_load_csv_skip_column_excluded(tmp_path):
 def test_load_csv_without_target(tmp_path):
     path = _write(tmp_path, "d.csv", "x\n1.5\n2.5\n")
     ds = load_csv(path, BASIC_SCHEMA, require_target=False)
-    assert ds.features.shape[0] == 2
+    assert ds.n_rows == 2
     assert ds.targets.size == 0
 
 
@@ -198,7 +214,8 @@ def test_load_csv_quoted_cells(tmp_path):
 
 
 def _assert_same_dataset(a, b):
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(assemble(a), assemble(b))
+    assert [v.dtype for v in a.features.values()] == [v.dtype for v in b.features.values()]
     assert a.targets.tolist() == b.targets.tolist()
     assert a.feature_names == b.feature_names
     assert a.class_names == b.class_names
@@ -264,7 +281,7 @@ def test_load_csv_quoted_line_end_across_chunks_names_row_and_line(
     bad = _write(tmp_path, "d.csv", head + note + row + "\n")
     with mock.patch.object(data_mod, "_CHUNK_ROWS", 2):
         ds = load_csv(plain, _NOTE_SCHEMA)
-        assert ds.features.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+        assert assemble(ds).tolist() == [[1.0], [2.0], [3.0], [4.0]]
         assert ds.targets.tolist() == [0, 1, 0, 1]
         with pytest.raises(error, match=f"^{re.escape(f'{bad}: {message}')}$"):
             load_csv(bad, _NOTE_SCHEMA)
@@ -522,8 +539,8 @@ def test_load_csv_reads_float_reprs_bit_exact(tmp_path_factory, values):
               ColumnSchema("Target", "target", ("A",))]
     ds = load_csv(path, schema, require_target=False)
     want = np.array(values, dtype=np.float64).view(np.int64)
-    assert ds.features[:, 0].view(np.int64).tolist() == want.tolist()
-    assert ds.features[:, 1].view(np.int64).tolist() == want.tolist()
+    assert ds.features["x"].view(np.int64).tolist() == want.tolist()
+    assert ds.features["y"].view(np.int64).tolist() == want.tolist()
 
 
 _NUMBER_TEXT = "0123456789+-.eE_ \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003١٢infaINF\x00"
@@ -553,7 +570,7 @@ def test_load_csv_reads_numbers_as_float_does(tmp_path_factory, cells):
         faults.insert(0, f"row {cells.index('') + 1} has 0 values, expected 1")
     if not faults:
         ds = load_csv(path, BASIC_SCHEMA, require_target=False)
-        assert ds.features[:, 0].tobytes() == np.array(list(map(float, cells))).tobytes()
+        assert ds.features["x"].tobytes() == np.array(list(map(float, cells))).tobytes()
         return
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {faults[0]}')}$"):
         load_csv(path, BASIC_SCHEMA, require_target=False)
@@ -572,7 +589,7 @@ def test_load_csv_per_cell_chunk(tmp_path, c0):
     path = _write(tmp_path, "d.csv", f"x,c,Target\n1_0,{c0},A\n2.5,b,B\n")
     ds = load_csv(path, schema)
     assert ds.feature_names == ("x", f"c={c0}", "c=b")
-    assert ds.features.tolist() == [[10.0, 1.0, 0.0], [2.5, 0.0, 1.0]]
+    assert assemble(ds).tolist() == [[10.0, 1.0, 0.0], [2.5, 0.0, 1.0]]
     assert ds.targets.tolist() == [0, 1]
     path = _write(tmp_path, "e.csv", f"x,c,Target\n1_0,{c0},A\n1__0,b,B\n")
     message = f"{path}: row 2, column 'x': cannot parse '1__0' as a number"
@@ -582,10 +599,8 @@ def test_load_csv_per_cell_chunk(tmp_path, c0):
 
 def _toy_dataset(n):
     return Dataset(
-        features=np.arange(n, dtype=float)[:, None],
+        features={"x": np.arange(n, dtype=float)},
         targets=np.zeros(n, dtype=np.int64),
-        feature_names=("x",),
-        class_names=("A", "B"),
         columns=BASIC_SCHEMA,
     )
 
@@ -604,14 +619,14 @@ def test_split_deterministic():
     ds = _toy_dataset(40)
     a1, b1 = split(ds, SplitSpec(0.7, seed=9))
     a2, b2 = split(ds, SplitSpec(0.7, seed=9))
-    assert np.array_equal(a1.features, a2.features)
-    assert np.array_equal(b1.features, b2.features)
+    assert np.array_equal(a1.features["x"], a2.features["x"])
+    assert np.array_equal(b1.features["x"], b2.features["x"])
 
 
 def test_split_partitions_rows():
     ds = _toy_dataset(23)
     train, test = split(ds, SplitSpec(0.6, seed=3))
-    seen = sorted(train.features[:, 0].tolist() + test.features[:, 0].tolist())
+    seen = sorted(train.features["x"].tolist() + test.features["x"].tolist())
     assert seen == list(range(23))
 
 
@@ -619,7 +634,7 @@ def test_split_seeds_differ():
     ds = _toy_dataset(20)
     a1, _ = split(ds, SplitSpec(0.5, seed=0))
     a2, _ = split(ds, SplitSpec(0.5, seed=1))
-    assert not np.array_equal(a1.features, a2.features)
+    assert not np.array_equal(a1.features["x"], a2.features["x"])
 
 
 def test_split_takes_the_rows_of_split_indices():
@@ -627,8 +642,8 @@ def test_split_takes_the_rows_of_split_indices():
     train_rows, test_rows = split_indices(31, SplitSpec(0.7, seed=4))
     train, test = split(ds, SplitSpec(0.7, seed=4))
     assert len(train_rows) == 22 and len(test_rows) == 9  # round-half-up of 21.7
-    assert train.features[:, 0].tolist() == train_rows.tolist()
-    assert test.features[:, 0].tolist() == test_rows.tolist()
+    assert train.features["x"].tolist() == train_rows.tolist()
+    assert test.features["x"].tolist() == test_rows.tolist()
     for n, fraction in ((1, 0.5), (2, 0.05), (2, 0.95)):
         with pytest.raises(SplitError):
             split_indices(n, SplitSpec(fraction, seed=0))
@@ -659,6 +674,42 @@ def test_fit_scaler_single_row():
     params = fit_scaler([[0.0]])
     assert params.means.tolist() == [0.0]
     assert params.stds.tolist() == [1.0]
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 300), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_fit_scaler_bits_do_not_depend_on_the_layout(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, d) + rng.uniform(-50.0, 50.0, d)
+    means = x.mean(axis=0)
+    stds = np.sqrt(np.mean((x - means) ** 2, axis=0))
+    stds = np.where(stds < 1e-12, 1.0, stds)
+    for view in (x, np.ascontiguousarray(x.T).T):  # row-major, and feature-major's .T
+        params = fit_scaler(view)
+        assert params.means.tobytes() == means.tobytes()
+        assert params.stds.tobytes() == stds.tobytes()
+
+
+def test_assemble_selects_rows_in_either_layout():
+    schema = [
+        ColumnSchema("c", "categorical", ("u", "v", "w")),
+        ColumnSchema("x", "numeric"),
+        ColumnSchema("Target", "target", ("A", "B")),
+    ]
+    cells = {"c": list("wuvw"), "x": [1.0, 2.0, 3.0, 4.0], "Target": list("ABAB")}
+    ds = encode_columns(schema, cells)
+    assert ds.features["c"].tolist() == [2, 0, 1, 2] and ds.features["c"].dtype == np.uint8
+    whole = assemble(ds)
+    assert whole.tolist() == [[0, 0, 1, 1], [1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 4]]
+    rows = np.array([3, 0, 2])
+    assert np.array_equal(assemble(ds, rows), whole[rows])
+    xt = assemble(ds, rows, feature_major=True)
+    assert xt.flags.c_contiguous and xt.flags.writeable
+    assert np.array_equal(xt, whole[rows].T)
+    with pytest.raises(LabelError, match="'c'"):
+        Dataset(features={"c": np.array([3]), "x": [1.0]}, targets=[], columns=schema)
+    with pytest.raises(DimensionError):
+        Dataset(features={"c": np.array([0]), "x": [1.0, 2.0]}, targets=[], columns=schema)
 
 
 def test_transform_values():
@@ -706,7 +757,7 @@ def test_one_hot_rows_sum_to_one(tmp_path):
         ColumnSchema("Target", "target", allowed_values=("A",)),
     ]
     ds = load_csv(_write(tmp_path, "d.csv", text), schema)
-    assert np.allclose(ds.features.sum(axis=1), 1.0)
+    assert np.allclose(assemble(ds).sum(axis=1), 1.0)
 
 
 def test_schema_round_trip(tmp_path):
@@ -747,6 +798,8 @@ def test_schema_validation():
         ColumnSchema("c", "categorical", allowed_values=("a", "a"))
     with pytest.raises(SchemaError):
         schema_to_doc([ColumnSchema("x", "numeric")])  # no target
+    with pytest.raises(SchemaError, match="no feature column"):
+        schema_to_doc([ColumnSchema("id", "skip"), ColumnSchema("y", "target")])
     # a lone CR in a class name would break predictions.csv; CRLF is quoted
     with pytest.raises(SchemaError, match="'Target'.*lone carriage return"):
         ColumnSchema("Target", "target", allowed_values=("ok", "x\r"))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edulearn import data as data_mod
 from edulearn import pipelines
 from edulearn.classify import SOLVERS, OptimizerConfig, train_logistic
 from edulearn.data import (
+    ColumnSchema,
     Dataset,
     SplitSpec,
+    assemble,
     fit_scaler,
     load_csv,
     schema_to_doc,
@@ -166,7 +170,7 @@ def test_class_level_summary():
 def test_build_style_dataset_shape():
     cfg = StyleGenConfig(n_students=12, sessions_per_student=2, seed=0)
     ds = build_style_dataset(generate_style_sessions(cfg))
-    assert ds.features.shape[0] == 24
+    assert ds.n_rows == 24
     assert ds.feature_names[0] == "score_diff"
     assert len(ds.feature_names) == 6
     assert ds.class_names == ("auditory", "visual")
@@ -184,7 +188,7 @@ def test_style_csv_round_trip_matches_direct(tmp_path):
     loaded = collapse_score_columns(load_csv(path, style_schema()))
     direct = build_style_dataset(pairs)
     assert loaded.feature_names == direct.feature_names
-    assert np.array_equal(loaded.features, direct.features)
+    assert np.array_equal(assemble(loaded), assemble(direct))
     assert np.array_equal(loaded.targets, direct.targets)
 
 
@@ -254,7 +258,7 @@ def test_academic_synthetic_prior_converges():
 def test_academic_synthetic_deterministic():
     a = generate_academic_synthetic(500, seed=9)
     b = generate_academic_synthetic(500, seed=9)
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(assemble(a), assemble(b))
     assert np.array_equal(a.targets, b.targets)
 
 
@@ -275,7 +279,7 @@ def test_academic_csv_round_trip_matches_direct(tmp_path):
         assert loaded.feature_names == direct.feature_names
         assert loaded.class_names == direct.class_names
         assert loaded.columns == direct.columns
-        assert np.array_equal(loaded.features, direct.features)
+        assert np.array_equal(assemble(loaded), assemble(direct))
         assert np.array_equal(loaded.targets, direct.targets)
 
 
@@ -308,17 +312,25 @@ _ROWS = 20_000
 _MATRIX_BYTES = _ROWS * 61 * 8
 
 
-def test_generate_academic_synthetic_peak_is_under_two_matrices():
-    # the category draws as codes, never as string arrays: 1.75 matrices;
-    # drawing them by name and encoding the strings peaked at 2.52
+def test_generate_academic_synthetic_peak_is_under_1_25_matrices():
+    # the category draws as codes, never as string arrays, into a table of
+    # float columns and one-byte codes with no one-hot matrix: 1.14 matrices.
+    # Assembling the one-hot matrix peaked at 1.75, and drawing the
+    # categories by name and encoding the strings at 2.52
     tracemalloc.start()
     try:
         ds = generate_academic_synthetic(_ROWS, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.features.nbytes == _MATRIX_BYTES
-    assert peak <= 2.0 * _MATRIX_BYTES
+    assert sum(v.nbytes for v in ds.features.values()) == _ROWS * (24 * 8 + 11)
+    assert peak <= 1.25 * _MATRIX_BYTES
+
+
+# traced peaks of fit_dataset in one-hot matrices of all rows, measured plus
+# ~10%: the table and the two assembled matrices (1.47), and for sgd the
+# row-major copy of the train rows that fit_sgd reads (1.76)
+_FIT_PEAKS = {"gd": 1.6, "lbfgs": 1.6, "sgd": 1.95}
 
 
 @pytest.mark.skipif(
@@ -327,9 +339,9 @@ def test_generate_academic_synthetic_peak_is_under_two_matrices():
 )
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_fit_dataset_on_the_last_reference_peaks_under_2_3_matrices(solver):
-    # the unsplit matrix and the gathered rows (2 matrices) are the peak;
-    # keeping the unsplit matrix and two scaled copies through the fit
-    # peaked at 3.05
+    # gathering the rows from the unsplit matrix peaked at 2.05 (the matrix
+    # and the gathered rows), and keeping it and two scaled copies through
+    # the fit at 3.05
     opt = OptimizerConfig(solver=solver, max_iter=5, epochs=1)
     tracemalloc.start()
     try:
@@ -339,7 +351,37 @@ def test_fit_dataset_on_the_last_reference_peaks_under_2_3_matrices(solver):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * _MATRIX_BYTES
+    assert peak <= _FIT_PEAKS[solver] * _MATRIX_BYTES
+
+
+def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypatch):
+    # from the loaded table on, predict holds the table and one matrix,
+    # scaled in place: 1.50. Scaling a copy peaked at 2.26. The load's own
+    # peak, one chunk of text and cells, is 2.2 at this size, whatever the
+    # matrix does, so the peak is reset when load_csv returns.
+    from edulearn.cli import _csv_text, main
+
+    monkeypatch.chdir(tmp_path)
+    header, rows = academic_csv_rows(_ROWS, seed=0)
+    (tmp_path / "a.csv").write_text(_csv_text([header, *rows]), encoding="utf-8")
+    (tmp_path / "a.schema.json").write_text(json.dumps(schema_to_doc(academic_schema())))
+    assert main(["train", "--task", "academic", "--input", "a.csv", "--schema", "a.schema.json",
+                 "--max-iter", "5", "--json", "--out", "m_"]) == 0
+    load = data_mod.load_csv
+
+    def load_then_reset_peak(*args, **kwargs):
+        ds = load(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return ds
+
+    monkeypatch.setattr(data_mod, "load_csv", load_then_reset_peak)
+    tracemalloc.start()
+    try:
+        assert main(["predict", "--model", "m_model.json", "--input", "a.csv", "--out", "p_"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * _MATRIX_BYTES
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,13 +403,14 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
         if constant[j]:
             x[:, j] = x[0, j]
     ds = Dataset(
-        features=x,
+        features={f"f{j}": x[:, j] for j in range(d)},
         targets=rng.integers(0, k, n),
-        feature_names=[f"f{j}" for j in range(d)],
-        class_names=("a", "b", "c")[:k],
-        columns=(),
+        columns=[
+            *(ColumnSchema(f"f{j}", "numeric") for j in range(d)),
+            ColumnSchema("y", "target", ("a", "b", "c")[:k]),
+        ],
     )
-    kept = ds.features.copy()
+    kept = {name: values.copy() for name, values in ds.features.items()}
     spec = SplitSpec(0.7, seed=seed % 1000)
     opt = OptimizerConfig(solver=solver, max_iter=3, epochs=1, l1=l1 if solver == "sgd" else 0.0)
     with mock.patch.object(pipelines, "train_logistic", wraps=train_logistic) as fit, \
@@ -375,18 +418,20 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
         _, bundle = fit_dataset(ds, opt, spec, "synthetic", "academic")
 
     # a caller that keeps its reference finds its dataset unchanged
-    assert ds.features.tobytes() == kept.tobytes() and not ds.features.flags.writeable
+    for name, values in ds.features.items():
+        assert values.tobytes() == kept[name].tobytes() and not values.flags.writeable
     train, test = split(ds, spec)
-    scaler = fit_scaler(train.features)
-    # fit_scaler's bits are the two-pass formula's
-    means = train.features.mean(axis=0)
-    stds = np.sqrt(np.mean((train.features - means) ** 2, axis=0))
+    train_rows, test_rows = assemble(train), assemble(test)
+    scaler = fit_scaler(train_rows)
+    # fit_scaler's bits are the two-pass formula's on the row-major train rows
+    means = train_rows.mean(axis=0)
+    stds = np.sqrt(np.mean((train_rows - means) ** 2, axis=0))
     stds = np.where(stds < 1e-12, 1.0, stds)
     assert scaler.means.tobytes() == means.tobytes() and scaler.stds.tobytes() == stds.tobytes()
     assert bundle.scaler.means.tobytes() == scaler.means.tobytes()
     assert bundle.scaler.stds.tobytes() == scaler.stds.tobytes()
 
-    x_train, x_test = transform(scaler, train.features), transform(scaler, test.features)
+    x_train, x_test = transform(scaler, train_rows), transform(scaler, test_rows)
     (fit_x, fit_y, _), _ = fit.call_args
     assert fit_x.shape == x_train.shape and fit_x.tobytes() == x_train.tobytes()
     assert np.array_equal(fit_y, train.targets)
