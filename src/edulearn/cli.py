@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import pipelines
-from .classify import SOLVERS, LogisticModel, OptimizerConfig, classes_from_proba, predict_proba
+from .classify import SOLVERS, LogisticModel, OptimizerConfig, classes_from_proba
 from .data import ScalerParams
 from .errors import EdulearnError, ParameterError, SchemaError
 
@@ -259,17 +259,19 @@ def model_from_doc(doc) -> pipelines.FitBundle:
 
 def cmd_generate(args, seed: int) -> int:
     n = pipelines.DEFAULT_SIZES[args.kind] if args.n is None else args.n
+    style = {
+        key: getattr(args, key)
+        for key in ("sessions_per_student", "visual_fraction", "noise_std")
+        if getattr(args, key) is not None
+    }
     if args.kind == "style":
-        cfg = pipelines.StyleGenConfig(
-            n_students=n,
-            sessions_per_student=args.sessions_per_student,
-            visual_fraction=args.visual_fraction,
-            noise_std=args.noise_std,
-            seed=seed,
-        )
+        cfg = pipelines.StyleGenConfig(n_students=n, seed=seed, **style)
         columns = pipelines.style_session_columns(pipelines.generate_style_sessions(cfg))
         header, rows = list(columns), list(zip(*(map(str, c) for c in columns.values())))
         schema, n = pipelines.style_schema(), len(rows)
+    elif style:
+        flag = "--" + next(iter(style)).replace("_", "-")
+        raise ParameterError(f"{flag} applies only to --kind style")
     else:
         header, rows = pipelines.academic_csv_rows(n, seed)
         schema = pipelines.academic_schema()
@@ -294,6 +296,10 @@ def _build_optimizer(args, seed: int) -> OptimizerConfig:
 
 
 def cmd_train(args, seed: int) -> int:
+    if args.input is None and args.schema is not None:
+        raise ParameterError("--schema applies only with --input")
+    if args.input is not None and args.n is not None:
+        raise ParameterError("--n applies only without --input (the synthetic source)")
     opt = _build_optimizer(args, seed)
     split_spec = data_mod.SplitSpec(train_fraction=args.train_fraction, seed=seed)
     data_source = "synthetic" if args.input is None else "external"
@@ -317,20 +323,12 @@ def cmd_train(args, seed: int) -> int:
 
 def cmd_predict(args) -> int:
     bundle = model_from_doc(data_mod.read_json(args.model))
-    model, feature_names = bundle.model, bundle.feature_names
-    ds = pipelines.task_features(
+    model = bundle.model
+    # apply frees the input's table once its matrix is built, as no
+    # variable here keeps a reference to it
+    proba = bundle.apply(pipelines.task_features(
         bundle.task, data_mod.load_csv(args.input, bundle.schema, require_target=False)
-    )
-    if ds.feature_names != feature_names:
-        missing = [n for n in feature_names if n not in ds.feature_names]
-        extra = [n for n in ds.feature_names if n not in feature_names]
-        raise SchemaError(
-            f"input features do not match the model (missing {missing}, unexpected {extra})"
-        )
-    x = data_mod.assemble(ds)
-    del ds  # the input's table: the matrix is all that is read from here on
-    proba = predict_proba(model, data_mod._standardize(bundle.scaler, x, x))
-    del x  # no longer needed while the file is written
+    ))
     names = [model.class_names[k] for k in classes_from_proba(proba).tolist()]
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
@@ -355,9 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic CSV plus matching schema")
     gen.add_argument("--kind", choices=["style", "academic"], required=True)
     gen.add_argument("--n", type=int, help="students (style) or rows (academic)")
-    gen.add_argument("--sessions-per-student", type=int, default=3)
-    gen.add_argument("--visual-fraction", type=float, default=0.5)
-    gen.add_argument("--noise-std", type=float, default=8.0)
+    gen.add_argument("--sessions-per-student", type=int, help="style only")
+    gen.add_argument("--visual-fraction", type=float, help="style only")
+    gen.add_argument("--noise-std", type=float, help="style only")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", default="", help="output path prefix")
 

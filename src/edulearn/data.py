@@ -65,6 +65,7 @@ __all__ = [
     "split",
     "fit_scaler",
     "transform",
+    "standardize",
     "inverse_transform",
 ]
 
@@ -122,12 +123,6 @@ def _code_type(n_categories: int) -> np.dtype:
     return np.min_scalar_type(max(n_categories - 1, 0))
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = np.ascontiguousarray(arr).view()
-    view.setflags(write=False)
-    return view
-
-
 @dataclass(frozen=True)
 class Dataset:
     """The encoded table of a data source: one array per feature column, the
@@ -167,7 +162,7 @@ class Dataset:
                     codes.size and (codes.min() < 0 or codes.max() >= k)
                 ):
                     raise LabelError(f"column '{name}': category codes outside [0, {k})")
-                features[name] = _read_only(codes.astype(_code_type(k), copy=False))
+                features[name] = frozen(codes, _code_type(k))
             else:
                 features[name] = frozen(as_vector(values))
         shapes = {values.shape for values in features.values()}
@@ -176,7 +171,7 @@ class Dataset:
                 f"dataset needs feature columns of one length, got shapes {sorted(shapes)}"
             )
         object.__setattr__(self, "features", MappingProxyType(features))
-        object.__setattr__(self, "targets", _read_only(np.asarray(self.targets, np.int64)))
+        object.__setattr__(self, "targets", frozen(self.targets, np.int64))
         if self.targets.size and self.n_rows != self.targets.shape[0]:
             raise DimensionError(
                 f"dataset has {self.n_rows} feature rows but {self.targets.shape[0]} targets"
@@ -203,6 +198,11 @@ class Dataset:
     @property
     def class_names(self) -> tuple[str, ...]:
         return next((c.allowed_values or () for c in self.columns if c.kind == "target"), ())
+
+    def take(self, rows) -> Dataset:
+        """The Dataset of the labeled rows ``rows``, in that order."""
+        features = {name: values[rows] for name, values in self.features.items()}
+        return replace(self, features=features, targets=self.targets[rows])
 
 
 @dataclass(frozen=True)
@@ -388,9 +388,9 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     ``cells`` maps column names to equal-length sequences: floats for numeric
     columns, strings for categorical and target columns; skip columns and
     other names are ignored. Feature columns appear in schema order. With
-    ``require_target=False`` the target may be absent; the dataset then has
-    zero-length targets. A numeric value that is not finite is a
-    ParameterError naming its row and column.
+    ``require_target=False`` the target is optional and never read; the
+    dataset then has zero-length targets. A numeric value that is not
+    finite is a ParameterError naming its row and column.
     """
     _check_columns(columns)
     target = next(c for c in columns if c.kind == "target")
@@ -411,7 +411,7 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
             if not np.isfinite(column).all():
                 i = np.flatnonzero(~np.isfinite(column))[0]
                 raise ParameterError(f"row {i + 1}, column '{col.name}': {column[i]} is not finite")
-        elif col.kind != "skip" and col.name in cells:
+        elif col.kind != "skip" and (require_target or col.kind != "target"):
             index[col.name] = _category_index(col)
             values[col.name] = _category_codes(col, cells[col.name], index[col.name])
     return _encoded(columns, values, index)
@@ -485,8 +485,10 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     one-hot matrix (``assemble`` builds one).
 
     The header must match the schema names exactly (order-insensitive).
-    With ``require_target=False`` the target column may be absent (for
-    prediction inputs); the returned dataset then has zero-length targets.
+    With ``require_target=False`` (for prediction inputs) the target column
+    is optional and its cells are never read, though the line checks
+    (UTF-8, field size, row width) cover them; the returned dataset then
+    has zero-length targets.
 
     The file is read once, front to back, and checked and encoded
     _CHUNK_ROWS lines at a time, so it is never held whole as Python
@@ -529,7 +531,7 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
             raise SchemaError(f"{path}: unexpected column '{sorted(extra)[0]}'")
 
         width, position = len(header), {name: j for j, name in enumerate(header)}
-        read = [c for c in columns if c.kind != "skip" and c.name in position]
+        read = [c for c in columns if c.kind != "skip" and (require_target or c.kind != "target")]
         parts = {
             c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.uint8)] for c in read
         }
@@ -605,11 +607,7 @@ def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded uniform row split of split_indices: the Datasets of its train
     and test rows."""
-    train, test = (
-        replace(ds, features={k: v[rows] for k, v in ds.features.items()}, targets=ds.targets[rows])
-        for rows in split_indices(ds.n_rows, spec)
-    )
-    return train, test
+    return tuple(map(ds.take, split_indices(ds.n_rows, spec)))
 
 
 def fit_scaler(x) -> ScalerParams:
@@ -651,10 +649,10 @@ def transform(params: ScalerParams, x) -> np.ndarray:
         raise DimensionError(
             f"transform: {xm.shape[1]} columns but scaler was fit on {params.means.shape[0]}"
         )
-    return frozen(_standardize(params, xm, np.empty(xm.shape)))
+    return frozen(standardize(params, xm, np.empty(xm.shape)))
 
 
-def _standardize(params: ScalerParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def standardize(params: ScalerParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """transform's values written into ``out``, which may be ``x`` itself to
     scale a matrix the caller owns in place; returns ``out``. The columns
     must match the scaler's."""

@@ -1,11 +1,11 @@
 """Shape checks, read-only arrays and the symmetric positive definite solver.
 
-Every numeric field and return value in edulearn is a C-ordered float64
-ndarray made read-only by ``frozen``, but for a Dataset's category codes and
-targets, which are read-only integers, and ``data.assemble``'s one-hot
-matrix, which is new and writable so that its caller scales it in place. The
-shape checks check only the number of dimensions: finiteness is checked
-where values enter the program.
+Every numeric field and return value in edulearn is a C-ordered ndarray
+made read-only by ``frozen``: float64, but for a Dataset's category codes
+and targets, which are integers. The exception is ``data.assemble``'s
+one-hot matrix, which is new and writable so that its caller scales it in
+place. The shape checks check only the number of dimensions: finiteness is
+checked where values enter the program.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .errors import DimensionError, ParameterError, SingularMatrixError
 __all__ = ["frozen", "as_vector", "as_matrix", "solve_spd"]
 
 
-def frozen(arr) -> np.ndarray:
-    """A read-only view of ``arr`` as a C-ordered float64 array; it copies
-    only an array that is not one already."""
-    view = np.ascontiguousarray(arr, dtype=np.float64).view()
+def frozen(arr, dtype=np.float64) -> np.ndarray:
+    """A read-only view of ``arr`` as a C-ordered array of ``dtype``; it
+    copies only an array that is not one already."""
+    view = np.ascontiguousarray(arr, dtype=dtype).view()
     view.setflags(write=False)
     return view
 

@@ -22,8 +22,10 @@ from . import data as data_mod
 from .classify import (
     MetricsReport,
     OptimizerConfig,
+    classes_from_proba,
     compute_metrics,
     predict,
+    predict_proba,
     train_logistic,
 )
 from .data import (
@@ -34,7 +36,7 @@ from .data import (
     encode_columns,
     fit_scaler,
 )
-from .errors import DegenerateDataError, DimensionError, LabelError, ParameterError
+from .errors import DegenerateDataError, DimensionError, LabelError, ParameterError, SchemaError
 
 __all__ = [
     "StyleLabel",
@@ -161,6 +163,21 @@ class FitBundle:
     feature_names: tuple[str, ...]
     task: str
     schema: tuple[ColumnSchema, ...]
+
+    def apply(self, ds: Dataset) -> np.ndarray:
+        """The class probabilities of the rows of ``ds``, a table of the model's
+        features (else a SchemaError): its matrix is assembled, scaled in place
+        and scored. On the last reference to ``ds`` the table is freed once
+        the matrix is built."""
+        if ds.feature_names != self.feature_names:
+            missing = [n for n in self.feature_names if n not in ds.feature_names]
+            extra = [n for n in ds.feature_names if n not in self.feature_names]
+            raise SchemaError(
+                f"input features do not match the model (missing {missing}, unexpected {extra})"
+            )
+        x = data_mod.assemble(ds)
+        del ds  # the table, freed here if this was the last reference
+        return predict_proba(self.model, data_mod.standardize(self.scaler, x, x))
 
 
 def generate_style_sessions(cfg: StyleGenConfig) -> list[tuple[StyleSession, StyleLabel]]:
@@ -335,41 +352,34 @@ def fit_dataset(
 
     The one-hot matrix of the whole table is never built. The train rows
     are assembled straight into the feature-major (d x n) layout the
-    multinomial objective reads, and the test rows row-major; both are
-    scaled in place. The trainer and the train-set predict read the train
-    rows through the ``.T`` view.
+    multinomial objective reads and scaled in place; the trainer and the
+    train-set predict read them through the ``.T`` view. The test rows stay
+    an encoded table until the fit ends, and are then scored as ``predict``
+    scores its input, by ``FitBundle.apply``.
 
     Ownership: pass the last reference to ``ds`` (no variable of the
-    caller's holding it) and its table is freed once both matrices are
-    built. The fit then peaks at the table and the two matrices, 1.47
-    one-hot matrices of all rows on the academic set, or 1.76 with sgd,
-    whose trainer reads a row-major copy of the train rows. A caller that
-    keeps a reference keeps the table alive, unchanged.
+    caller's holding it) and its table is freed once the train matrix and
+    the test table are gathered. The fit then peaks at 1.29 one-hot
+    matrices of all rows on the academic set, or 1.59 with sgd, whose
+    trainer reads a row-major copy of the train rows. A caller that keeps a
+    reference keeps the table alive, unchanged.
     """
     class_names, feature_names, columns = ds.class_names, ds.feature_names, ds.columns
     train_rows, test_rows = data_mod.split_indices(ds.n_rows, split_spec)
     xt = data_mod.assemble(ds, train_rows, feature_major=True)
-    x_test = data_mod.assemble(ds, test_rows)
-    y_train, y_test = ds.targets[train_rows], ds.targets[test_rows]
+    y_train, test = ds.targets[train_rows], ds.take(test_rows)
     del ds  # the table, freed here if this was the last reference
     scaler = fit_scaler(xt.T)
-    data_mod._standardize(scaler, xt.T, xt.T)
-    data_mod._standardize(scaler, x_test, x_test)
+    data_mod.standardize(scaler, xt.T, xt.T)
     model = train_logistic(xt.T, y_train, opt, class_names=class_names)
+    bundle = FitBundle(model, scaler, feature_names, task, columns)
     k = len(class_names)
     report = CaseStudyReport(
         train_metrics=compute_metrics(y_train, predict(model, xt.T), k),
-        test_metrics=compute_metrics(y_test, predict(model, x_test), k),
+        test_metrics=compute_metrics(test.targets, classes_from_proba(bundle.apply(test)), k),
         class_distribution={name: int((y_train == i).sum()) for i, name in enumerate(class_names)},
         config_echo=opt,
         data_source=data_source,
-    )
-    bundle = FitBundle(
-        model=model,
-        scaler=scaler,
-        feature_names=feature_names,
-        task=task,
-        schema=columns,
     )
     return report, bundle
 
@@ -633,25 +643,26 @@ def task_dataset(
     Without ``csv_path`` the task's generator draws ``n`` students or rows
     (default DEFAULT_SIZES) from ``seed``. A CSV is read against the schema
     document at ``schema_path``, or else the task's own schema (the packaged
-    public-dataset schema for academic); rows that show fewer than two
-    classes are a LabelError, whatever classes the schema declares.
+    public-dataset schema for academic). Rows that show fewer than two
+    classes are a LabelError, from either source and whatever classes the
+    schema declares.
     """
     n = DEFAULT_SIZES[task] if n is None else n
-    if csv_path is None:
-        if task == "style":
-            sessions = generate_style_sessions(StyleGenConfig(n_students=n, seed=seed))
-            return build_style_dataset(sessions)
-        return generate_academic_synthetic(n, seed)
-    if schema_path is not None:
-        columns = data_mod.read_schema(schema_path)
+    if csv_path is not None:
+        if schema_path is not None:
+            columns = data_mod.read_schema(schema_path)
+        else:
+            columns = style_schema() if task == "style" else packaged_academic_schema()
+        ds = task_features(task, data_mod.load_csv(csv_path, columns))
+    elif task == "style":
+        ds = build_style_dataset(generate_style_sessions(StyleGenConfig(n_students=n, seed=seed)))
     else:
-        columns = style_schema() if task == "style" else packaged_academic_schema()
-    ds = data_mod.load_csv(csv_path, columns)
+        ds = generate_academic_synthetic(n, seed)
     observed = np.flatnonzero(np.bincount(ds.targets))
     if observed.size < 2:
-        target = next(c.name for c in columns if c.kind == "target")
+        target = next(c.name for c in ds.columns if c.kind == "target")
         raise LabelError(
-            f"{csv_path}: target '{target}': training needs at least 2 classes, "
-            f"got {[ds.class_names[k] for k in observed]}"
+            f"{csv_path or 'synthetic data'}: target '{target}': training needs at least "
+            f"2 classes, got {[ds.class_names[k] for k in observed]}"
         )
-    return task_features(task, ds)
+    return ds

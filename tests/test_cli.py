@@ -254,6 +254,14 @@ def test_predict_accepts_input_without_target_column(tmp_path):
     r = run_cli(["predict", "--model", "q_model.json", "--input", "q_unlabeled.csv", "--out", "q_"], tmp_path)
     assert r.returncode == 0, r.stderr
     assert len((tmp_path / "q_predictions.csv").read_text().splitlines()) == 37
+    # a target column is never read: a value outside the model's classes
+    # changes nothing
+    relabeled = [lines[0]] + [line.rsplit(",", 1)[0] + ",kinesthetic" for line in lines[1:]]
+    (tmp_path / "k.csv").write_text("\n".join(relabeled) + "\n")
+    r = run_cli(["predict", "--model", "q_model.json", "--input", "k.csv", "--out", "k_"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    predictions = (tmp_path / "k_predictions.csv").read_bytes()
+    assert predictions == (tmp_path / "q_predictions.csv").read_bytes()
 
 
 def test_predict_open_categorical_orders_survive_round_trip(tmp_path):
@@ -398,10 +406,13 @@ def test_class_name_with_lone_cr_exits_1(tmp_path, declared):
         (None, True, ["visual"]),
         (["auditory", "visual"], True, ["visual"]),
         (["auditory", "visual"], False, []),
+        (None, None, ["auditory"]),
     ],
-    ids=["declared", "observed", "declared-two-observed-one", "header-only"],
+    ids=["declared", "observed", "declared-two-observed-one", "header-only", "synthetic"],
 )
 def test_train_one_class_target_exits_1(tmp_path, allowed, rows, got):
+    """Rows that show one class are refused, from a CSV or (rows None) from
+    the synthetic source: one student at seed 0 draws one latent style."""
     r = run_cli(["generate", "--kind", "style", "--n", "10", "--seed", "1",
                  "--visual-fraction", "1", "--out", "v_"], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -413,14 +424,16 @@ def test_train_one_class_target_exits_1(tmp_path, allowed, rows, got):
     else:
         target["allowed_values"] = allowed
     (tmp_path / "v_schema.json").write_text(json.dumps(doc))
-    if not rows:
+    if rows is False:
         data = tmp_path / "v_data.csv"
         data.write_text(data.read_text().splitlines(keepends=True)[0])
-    r = run_cli(["train", "--task", "style", "--input", "v_data.csv", "--schema", "v_schema.json",
-                 "--out", "o_"], tmp_path)
+    source = ["--n", "1", "--seed", "0"] if rows is None else [
+        "--input", "v_data.csv", "--schema", "v_schema.json"]
+    r = run_cli(["train", "--task", "style", *source, "--out", "o_"], tmp_path)
     assert r.returncode == 1, r.stderr
+    where = "synthetic data" if rows is None else "v_data.csv"
     assert r.stderr == (
-        "error[LabelError]: v_data.csv: target 'style': training needs at least 2 classes, "
+        f"error[LabelError]: {where}: target 'style': training needs at least 2 classes, "
         f"got {got}\n"
     ), r.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v_data.csv", "v_schema.json"]
@@ -461,6 +474,24 @@ def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error[ParameterError]: noise_std"), r.stderr
     assert "Traceback" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--task", "style", "--schema", "s.json"], "--schema applies only with --input"),
+        (["train", "--task", "style", "--input", "d.csv", "--n", "7"],
+         "--n applies only without --input (the synthetic source)"),
+        (["generate", "--kind", "academic", "--noise-std", "5", "--visual-fraction", "0.9",
+          "--sessions-per-student", "9"], "--sessions-per-student applies only to --kind style"),
+    ],
+    ids=["schema-without-input", "n-with-input", "style-flags-for-academic"],
+)
+def test_flag_that_would_do_nothing_exits_2(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", "f_"]) == 2
+    assert capsys.readouterr().err == f"error[ParameterError]: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -846,6 +877,22 @@ def test_score_diff_overflow_exits_1(style_model, tmp_path):
         assert r.stderr.startswith("error[DegenerateDataError]: row 2: score_diff"), r.stderr
         assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["o_data.csv"]
+
+
+def test_predict_with_other_features_than_the_model_exits_1(style_model, tmp_path, monkeypatch,
+                                                           capsys):
+    doc = json.loads((style_model / "m_model.json").read_text())
+    names = doc["feature_names"]
+    names[names.index("lesson_duration")] = "lesson_minutes"
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["predict", "--model", "m.json", "--input", str(style_model / "d_data.csv"),
+                 "--out", "p_"]) == 1
+    assert capsys.readouterr().err == (
+        "error[SchemaError]: input features do not match the model "
+        "(missing ['lesson_minutes'], unexpected ['lesson_duration'])\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 @pytest.fixture(scope="module")

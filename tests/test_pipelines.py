@@ -328,9 +328,9 @@ def test_generate_academic_synthetic_peak_is_under_1_25_matrices():
 
 
 # traced peaks of fit_dataset in one-hot matrices of all rows, measured plus
-# ~10%: the table and the two assembled matrices (1.47), and for sgd the
-# row-major copy of the train rows that fit_sgd reads (1.76)
-_FIT_PEAKS = {"gd": 1.6, "lbfgs": 1.6, "sgd": 1.95}
+# ~10%: the table, the train matrix and the test rows' table (1.29), and for
+# sgd the row-major copy of the train rows that fit_sgd reads (1.59)
+_FIT_PEAKS = {"gd": 1.42, "lbfgs": 1.42, "sgd": 1.75}
 
 
 @pytest.mark.skipif(
@@ -338,8 +338,9 @@ _FIT_PEAKS = {"gd": 1.6, "lbfgs": 1.6, "sgd": 1.95}
     reason="before 3.11 the caller's stack holds every call argument until the call returns",
 )
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_fit_dataset_on_the_last_reference_peaks_under_2_3_matrices(solver):
-    # gathering the rows from the unsplit matrix peaked at 2.05 (the matrix
+def test_fit_dataset_on_the_last_reference_peaks_under_fit_peaks(solver):
+    # assembling the test matrix before the fit peaked at 1.47 (1.76 with
+    # sgd), gathering the rows from the unsplit matrix at 2.05 (the matrix
     # and the gathered rows), and keeping it and two scaled copies through
     # the fit at 3.05
     opt = OptimizerConfig(solver=solver, max_iter=5, epochs=1)
@@ -414,7 +415,8 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
     spec = SplitSpec(0.7, seed=seed % 1000)
     opt = OptimizerConfig(solver=solver, max_iter=3, epochs=1, l1=l1 if solver == "sgd" else 0.0)
     with mock.patch.object(pipelines, "train_logistic", wraps=train_logistic) as fit, \
-            mock.patch.object(pipelines, "predict", wraps=pipelines.predict) as scored:
+            mock.patch.object(pipelines, "predict", wraps=pipelines.predict) as scored, \
+            mock.patch.object(pipelines, "predict_proba", wraps=pipelines.predict_proba) as proba:
         _, bundle = fit_dataset(ds, opt, spec, "synthetic", "academic")
 
     # a caller that keeps its reference finds its dataset unchanged
@@ -435,7 +437,8 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
     (fit_x, fit_y, _), _ = fit.call_args
     assert fit_x.shape == x_train.shape and fit_x.tobytes() == x_train.tobytes()
     assert np.array_equal(fit_y, train.targets)
-    [(_, train_x), _], [(_, test_x), _] = scored.call_args_list
+    # the train rows through predict, the test rows as predict scores its input
+    [((_, train_x), _)], [((_, test_x), _)] = scored.call_args_list, proba.call_args_list
     assert train_x.tobytes() == x_train.tobytes() and test_x.tobytes() == x_test.tobytes()
     # the trainers read the feature-major view to the bits of the row-major matrix
     reference = train_logistic(x_train, train.targets, opt, class_names=ds.class_names)

@@ -29,3 +29,26 @@ def test_every_private_function_and_class_is_used():
         and used[node.name] == _names(node)[node.name]
     ]
     assert orphans == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """An edulearn module imports no private name of another module and
+    reads none through one it imports, so a private name's callers are all
+    in its own module."""
+    reads = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        modules = {a.asname or a.name for n in relative if n.module is None for a in n.names}
+        reads += [f"{path.name}: {a.name}" for n in relative for a in n.names if _private(a.name)]
+        reads += [
+            f"{path.name}:{n.lineno}: {n.value.id}.{n.attr}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in modules and _private(n.attr)
+        ]
+    assert reads == []
