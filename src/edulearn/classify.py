@@ -285,7 +285,7 @@ def _target_terms(xt: np.ndarray, y: np.ndarray, k: int):
     blocks of ``xt``: a BLAS product, as accurate as the gradient's own
     P x. A bincount's running sum was ~30 times less accurate, and as a
     fixed error in every gradient it moved the GD weights at 76,519 rows by
-    1e-11 of the largest weight over 674 steps.
+    1e-11 of the largest weight over 674 unit steps.
     """
     classes = np.arange(k)[:, None]
     target_sums = np.zeros((k, xt.shape[0]))
@@ -426,31 +426,32 @@ def _unpack_model(
 def _descent(objective, n_params: int, cfg: OptimizerConfig, memory: int):
     """Armijo backtracking steps from zero weights until the gradient
     tolerance or max_iter, along the L-BFGS two-loop direction from the last
-    ``memory`` curvature pairs: with none stored it is -grad, so memory 0 is
-    gradient descent. The inverse-Hessian seed is scaled by s.y / y.y of the
-    newest pair; pairs with curvature s.y <= 1e-12 are skipped.
+    ``memory`` curvature pairs. The inverse-Hessian seed is scaled by
+    gamma = s.y / y.y of the newest step whose curvature s.y exceeds 1e-12
+    (1 before the first), and pairs at or below that curvature are not
+    stored. With no pairs stored the direction is -gamma * grad, so memory 0
+    is gradient descent with the Barzilai-Borwein step ("Two-point step size
+    gradient methods", IMA J. Numer. Anal. 8, 1988, their second step). Each
+    line search tries the full step along the direction, then halves it.
     """
     theta = np.zeros(n_params)
     value, grad = objective(theta)
     loss_path = [value]
     history: list[tuple[np.ndarray, np.ndarray, float]] = []
-    iterations = 0
+    gamma, iterations = 1.0, 0
     converged = bool(np.max(np.abs(grad)) < cfg.tol) if grad.size else True
     while not converged and iterations < cfg.max_iter:
-        direction = -grad
-        if history:
-            q = grad.copy()
-            alphas: list[float] = []
-            for s, yb, rho in reversed(history):
-                alphas.append(rho * float(s @ q))
-                q -= alphas[-1] * yb
-            s, yb, _ = history[-1]
-            q *= float(s @ yb) / float(yb @ yb)
-            for (s, yb, rho), a in zip(history, reversed(alphas)):
-                q += (a - rho * float(yb @ q)) * s
-            direction = -q
-            if float(direction @ grad) >= 0.0:
-                direction = -grad
+        q = grad.copy()
+        alphas: list[float] = []
+        for s, yb, rho in reversed(history):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * yb
+        q *= gamma
+        for (s, yb, rho), a in zip(history, reversed(alphas)):
+            q += (a - rho * float(yb @ q)) * s
+        direction = -q
+        if float(direction @ grad) >= 0.0:
+            direction = -grad
         slope, step = float(grad @ direction), 1.0
         for _ in range(_MAX_HALVINGS + 1):
             new_theta = theta + step * direction
@@ -462,13 +463,13 @@ def _descent(objective, n_params: int, cfg: OptimizerConfig, memory: int):
             raise StalledDescentError(
                 f"line search found no decrease after {_MAX_HALVINGS} halvings", iterate=theta
             )
-        if memory:
-            s, yb = new_theta - theta, new_grad - grad
-            curvature = float(s @ yb)
-            if curvature > _CURVATURE_TOL:
-                history.append((s, yb, 1.0 / curvature))
-                if len(history) > memory:
-                    history.pop(0)
+        s, yb = new_theta - theta, new_grad - grad
+        curvature = float(s @ yb)
+        if curvature > _CURVATURE_TOL:
+            gamma = curvature / float(yb @ yb)
+            history.append((s, yb, 1.0 / curvature))
+            if len(history) > memory:
+                history.pop(0)
         theta, value, grad = new_theta, new_value, new_grad
         loss_path.append(value)
         iterations += 1
@@ -478,7 +479,8 @@ def _descent(objective, n_params: int, cfg: OptimizerConfig, memory: int):
 
 def fit_gd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     """Full-batch gradient descent with Armijo backtracking from zero weights:
-    the descent routine with no curvature memory."""
+    the descent routine with no curvature memory, so each step starts from
+    the Barzilai-Borwein step s.y / y.y of the last one (1 on the first)."""
     xm, _, names, k, objective, n_params = _fit_inputs("gd", x, y, cfg, class_names)
     theta, converged, iterations, loss_path = _descent(objective, n_params, cfg, 0)
     return _unpack_model(theta, xm.shape[1], k, names, converged, iterations, loss_path)
@@ -632,10 +634,11 @@ def train_logistic(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticMode
     return fit_lbfgs(x, y, cfg, class_names)
 
 
-def predict_proba(model: LogisticModel, x) -> np.ndarray:
+def predict_proba(model: LogisticModel, x, first_row: int = 1) -> np.ndarray:
     """The n x n_classes class probabilities: [1 - p, p] with p the class-1
     sigmoid for a binary model, else the row-stochastic softmax. A row whose
-    logits overflow float64 is a DegenerateDataError naming it."""
+    logits overflow float64 is a DegenerateDataError naming it, with the
+    rows of ``x`` numbered from ``first_row``."""
     xm = as_matrix(x)
     if xm.shape[1] != model.n_features:
         raise DimensionError(
@@ -646,7 +649,9 @@ def predict_proba(model: LogisticModel, x) -> np.ndarray:
         z = xm @ w[0] + b[0] if model.is_binary else xm @ w.T + b
         bad = np.argwhere(~np.isfinite(z))
         if bad.size:
-            raise DegenerateDataError(f"predict_proba: row {bad[0][0] + 1}: logits overflow")
+            raise DegenerateDataError(
+                f"predict_proba: row {bad[0][0] + first_row}: logits overflow"
+            )
         if not model.is_binary:
             return frozen(_softmax_rows(z))
         p = _sigmoid(z)

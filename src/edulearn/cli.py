@@ -285,10 +285,22 @@ def cmd_generate(args, seed: int) -> int:
     return 0
 
 
+# the train flags that only some solvers read, and those solvers
+_SOLVER_FLAGS = {
+    "max_iter": ("gd", "lbfgs"),
+    "epochs": ("sgd",),
+    "learning_rate": ("sgd",),
+    "tol": ("gd", "lbfgs"),
+}
+
+
 def _build_optimizer(args, seed: int) -> OptimizerConfig:
     kwargs: dict = {"solver": args.solver, "seed": seed}
     for key in ("max_iter", "epochs", "learning_rate", "tol", "l1", "l2"):
         if getattr(args, key) is not None:
+            if args.solver not in _SOLVER_FLAGS.get(key, SOLVERS):
+                flag, readers = "--" + key.replace("_", "-"), " and ".join(_SOLVER_FLAGS[key])
+                raise ParameterError(f"{flag} applies only to --solver {readers}")
             kwargs[key] = getattr(args, key)
     if args.task == "style" and "l2" not in kwargs:
         kwargs["l2"] = 0.1  # separable planted data: keep weights finite
@@ -316,6 +328,10 @@ def cmd_train(args, seed: int) -> int:
     doc = report_to_doc(report, args.task, bundle.model.class_names, args.train_fraction)
     atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
     atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
+    if not bundle.model.converged:
+        steps = "epochs" if opt.solver == "sgd" else "iterations"
+        print(f"warning: {opt.solver} did not converge in {bundle.model.iterations_used} {steps}; "
+              "the model is written with converged false", file=sys.stderr)
     if not args.json:
         print(doc["text_block"])
     return 0
@@ -324,8 +340,6 @@ def cmd_train(args, seed: int) -> int:
 def cmd_predict(args) -> int:
     bundle = model_from_doc(data_mod.read_json(args.model))
     model = bundle.model
-    # apply frees the input's table once its matrix is built, as no
-    # variable here keeps a reference to it
     proba = bundle.apply(pipelines.task_features(
         bundle.task, data_mod.load_csv(args.input, bundle.schema, require_target=False)
     ))

@@ -50,6 +50,7 @@ COLUMN_KINDS = ("numeric", "categorical", "target", "skip")
 
 __all__ = [
     "SCHEMA_VERSION",
+    "CHUNK_ROWS",
     "ColumnSchema",
     "Dataset",
     "ScalerParams",
@@ -417,8 +418,9 @@ def encode_columns(columns: list[ColumnSchema], cells, require_target: bool = Tr
     return _encoded(columns, values, index)
 
 
-# lines that load_csv reads, checks and encodes at a time
-_CHUNK_ROWS = 8192
+# lines that load_csv reads, checks and encodes at a time, and rows that
+# pipelines.FitBundle.apply assembles, scales and scores at a time
+CHUNK_ROWS = 8192
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
@@ -491,7 +493,7 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     has zero-length targets.
 
     The file is read once, front to back, and checked and encoded
-    _CHUNK_ROWS lines at a time, so it is never held whole as Python
+    CHUNK_ROWS lines at a time, so it is never held whole as Python
     strings. Numpy's C text reader reads a chunk without a double quote, a
     CR, \\x1c-\\x1f (which it strips around a number and float() does not)
     or a line over csv's field size limit: its numeric columns as one float
@@ -541,7 +543,7 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
         numeric_cols = [position[c.name] for c in numeric]
         label_cols = [position[c.name] for c in labels]
         n_rows = 0
-        while lines := _read_lines(fh, _CHUNK_ROWS, path):
+        while lines := _read_lines(fh, CHUNK_ROWS, path):
             # text and rows are held until a later chunk rebinds them: freed at
             # once, text raised the predict peak on the 76,519-row academic CSV
             # by ~7 MB, and rows the load's peak on it with three quoted cells
@@ -652,17 +654,20 @@ def transform(params: ScalerParams, x) -> np.ndarray:
     return frozen(standardize(params, xm, np.empty(xm.shape)))
 
 
-def standardize(params: ScalerParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def standardize(
+    params: ScalerParams, x: np.ndarray, out: np.ndarray, first_row: int = 1
+) -> np.ndarray:
     """transform's values written into ``out``, which may be ``x`` itself to
     scale a matrix the caller owns in place; returns ``out``. The columns
-    must match the scaler's."""
+    must match the scaler's. A value that overflows is a DegenerateDataError
+    naming its row, with the rows of ``x`` numbered from ``first_row``."""
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(x, params.means, out=out)
         out /= params.stds
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         raise DegenerateDataError(
-            f"transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
+            f"transform: row {bad[0][0] + first_row}, feature column {bad[0][1] + 1} "
             "is too large to standardize in float64"
         )
     return out

@@ -37,6 +37,7 @@ from .data import (
     fit_scaler,
 )
 from .errors import DegenerateDataError, DimensionError, LabelError, ParameterError, SchemaError
+from .numcore import frozen
 
 __all__ = [
     "StyleLabel",
@@ -165,19 +166,28 @@ class FitBundle:
     schema: tuple[ColumnSchema, ...]
 
     def apply(self, ds: Dataset) -> np.ndarray:
-        """The class probabilities of the rows of ``ds``, a table of the model's
-        features (else a SchemaError): its matrix is assembled, scaled in place
-        and scored. On the last reference to ``ds`` the table is freed once
-        the matrix is built."""
+        """The n x n_classes class probabilities of the rows of ``ds``, a table
+        of the model's features (else a SchemaError). The rows are assembled,
+        scaled in place and scored data.CHUNK_ROWS at a time, with a shorter
+        last block joined to the one before it, so one block's one-hot matrix
+        is held at a time. An overflow, in scaling or in the logits, names
+        its row of ``ds``."""
         if ds.feature_names != self.feature_names:
             missing = [n for n in self.feature_names if n not in ds.feature_names]
             extra = [n for n in ds.feature_names if n not in self.feature_names]
             raise SchemaError(
                 f"input features do not match the model (missing {missing}, unexpected {extra})"
             )
-        x = data_mod.assemble(ds)
-        del ds  # the table, freed here if this was the last reference
-        return predict_proba(self.model, data_mod.standardize(self.scaler, x, x))
+        n, block = ds.n_rows, data_mod.CHUNK_ROWS
+        proba = np.empty((n, self.model.n_classes))
+        start = 0
+        for stop in [*range(block, n - block + 1, block), n]:
+            x = data_mod.assemble(ds, np.arange(start, stop))
+            x = data_mod.standardize(self.scaler, x, x, first_row=start + 1)
+            proba[start:stop] = predict_proba(self.model, x, first_row=start + 1)
+            del x  # before the next block is assembled
+            start = stop
+        return frozen(proba)
 
 
 def generate_style_sessions(cfg: StyleGenConfig) -> list[tuple[StyleSession, StyleLabel]]:

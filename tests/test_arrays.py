@@ -97,7 +97,8 @@ def test_no_command_builds_a_legacy_wrapper(no_legacy_wrappers, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("EDULEARN_SEED", raising=False)
     n = "20" if task == "style" else "200"
-    train = ["train", "--task", task, "--solver", solver, "--epochs", "3", "--seed", "5", "--json"]
+    epochs = ["--epochs", "3"] if solver == "sgd" else []
+    train = ["train", "--task", task, "--solver", solver, *epochs, "--seed", "5", "--json"]
     assert cli.main(["generate", "--kind", task, "--n", n, "--seed", "5", "--out", "g_"]) == 0
     assert cli.main([*train, "--n", n, "--out", "a_"]) == 0
     assert cli.main([*train, "--input", "g_data.csv", "--schema", "g_schema.json",

@@ -477,6 +477,9 @@ def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
+_STYLE_20 = ["train", "--task", "style", "--n", "20"]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -485,14 +488,43 @@ def test_generate_style_non_finite_noise_exits_2(tmp_path, value):
          "--n applies only without --input (the synthetic source)"),
         (["generate", "--kind", "academic", "--noise-std", "5", "--visual-fraction", "0.9",
           "--sessions-per-student", "9"], "--sessions-per-student applies only to --kind style"),
+        ([*_STYLE_20, "--solver", "lbfgs", "--epochs", "5"], "--epochs applies only to --solver sgd"),
+        ([*_STYLE_20, "--solver", "sgd", "--max-iter", "5"],
+         "--max-iter applies only to --solver gd and lbfgs"),
+        ([*_STYLE_20, "--solver", "lbfgs", "--learning-rate", "0.5"],
+         "--learning-rate applies only to --solver sgd"),
+        ([*_STYLE_20, "--solver", "sgd", "--tol", "1e-3"],
+         "--tol applies only to --solver gd and lbfgs"),
     ],
-    ids=["schema-without-input", "n-with-input", "style-flags-for-academic"],
+    ids=["schema-without-input", "n-with-input", "style-flags-for-academic", "epochs-for-lbfgs",
+         "max-iter-for-sgd", "learning-rate-for-lbfgs", "tol-for-sgd"],
 )
 def test_flag_that_would_do_nothing_exits_2(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     assert main([*args, "--out", "f_"]) == 2
     assert capsys.readouterr().err == f"error[ParameterError]: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "solver_args, warning",
+    [
+        (["--solver", "gd", "--max-iter", "2"],
+         "warning: gd did not converge in 2 iterations; the model is written with converged false\n"),
+        (["--solver", "sgd", "--epochs", "0"],
+         "warning: sgd did not converge in 0 epochs; the model is written with converged false\n"),
+        (["--solver", "lbfgs"], ""),
+    ],
+    ids=["gd-max-iter-2", "sgd-epochs-0", "converged"],
+)
+def test_train_that_does_not_converge_warns_once(tmp_path, monkeypatch, capsys, solver_args,
+                                                warning):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EDULEARN_SEED", raising=False)
+    assert main([*_STYLE_20, *solver_args, "--json", "--out", "w_"]) == 0
+    model = json.loads((tmp_path / "w_model.json").read_text())
+    assert model["converged"] is not bool(warning)
+    assert capsys.readouterr().err == warning
 
 
 def test_generate_academic_minimum_rows_exits_2(tmp_path):

@@ -248,7 +248,7 @@ _PATH_ROW = {"split": "1.0,A\n", "csv-reader": '"1.0",A\n'}
 def test_load_csv_error_past_the_first_chunk_names_file_and_row(
     tmp_path, path_kind, row, error, message
 ):
-    n = data_mod._CHUNK_ROWS
+    n = data_mod.CHUNK_ROWS
     text = "x,Target\n1.0,A\n" + "2.0,B\n" * (n - 1) + row + "\n" + _PATH_ROW[path_kind]
     path = _write(tmp_path, "d.csv", text)
     expected = message.format(row=n + 1, line=n + 2)
@@ -279,7 +279,7 @@ def test_load_csv_quoted_line_end_across_chunks_names_row_and_line(
     head = 'note,x,Target\na,1.0,A\n"b\nc",2.0,B\nd,3.0,A\n'
     plain = _write(tmp_path, "ok.csv", head + note + ",4.0,B\n")
     bad = _write(tmp_path, "d.csv", head + note + row + "\n")
-    with mock.patch.object(data_mod, "_CHUNK_ROWS", 2):
+    with mock.patch.object(data_mod, "CHUNK_ROWS", 2):
         ds = load_csv(plain, _NOTE_SCHEMA)
         assert assemble(ds).tolist() == [[1.0], [2.0], [3.0], [4.0]]
         assert ds.targets.tolist() == [0, 1, 0, 1]
@@ -294,7 +294,7 @@ def test_load_csv_quoted_cell_open_at_a_chunk_end_into_non_utf8(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(b'note,x,Target\na,1.0,A\n"b\n' + b"c" * 100_000 + b'\xff",2.0,B\n')
     message = f"{path}: not UTF-8 after line 3 (invalid start byte)"
-    with mock.patch.object(data_mod, "_CHUNK_ROWS", 2):
+    with mock.patch.object(data_mod, "CHUNK_ROWS", 2):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_csv(path, _NOTE_SCHEMA)
 
@@ -310,7 +310,7 @@ def test_load_csv_blank_line_in_a_one_column_file(tmp_path, first):
 @pytest.mark.parametrize("late", ["green", '"green"'], ids=["split", "quote-in-second-chunk"])
 def test_load_csv_open_categorical_first_seen_in_a_later_chunk(tmp_path, late):
     schema = [ColumnSchema("c", "categorical"), ColumnSchema("Target", "target")]
-    n = data_mod._CHUNK_ROWS
+    n = data_mod.CHUNK_ROWS
     c = ["red", "blue"] * (n // 2) + ["green", "red", "blue"]
     target = ["yes"] * n + ["no", "yes", "no"]
     text = "c,Target\n" + "".join(f"{v},{t}\n" for v, t in zip(c, target))
@@ -348,7 +348,7 @@ def test_load_csv_non_utf8_names_the_line_before_the_bad_byte(tmp_path, text, ch
     path = tmp_path / "d.csv"
     path.write_bytes(text)
     message = f"{path}: not UTF-8 after line {line} ("
-    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(data_mod, "CHUNK_ROWS", chunk_rows):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
             load_csv(path, BASIC_SCHEMA)
 
@@ -467,7 +467,7 @@ def test_load_csv_matches_csv_reader_or_raises_edulearn_error(
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = _reference_load(path, schema, require_target)
-    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(data_mod, "CHUNK_ROWS", chunk_rows):
         if expected is None:
             with pytest.raises(EdulearnError):
                 load_csv(path, schema, require_target)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -12,10 +13,18 @@ from hypothesis import strategies as st
 
 from edulearn import data as data_mod
 from edulearn import pipelines
-from edulearn.classify import SOLVERS, OptimizerConfig, train_logistic
+from edulearn.classify import (
+    SOLVERS,
+    LogisticModel,
+    OptimizerConfig,
+    classes_from_proba,
+    predict_proba,
+    train_logistic,
+)
 from edulearn.data import (
     ColumnSchema,
     Dataset,
+    ScalerParams,
     SplitSpec,
     assemble,
     fit_scaler,
@@ -24,10 +33,11 @@ from edulearn.data import (
     split,
     transform,
 )
-from edulearn.errors import ParameterError
+from edulearn.errors import DegenerateDataError, ParameterError
 from edulearn.pipelines import (
     ACADEMIC_CLASS_NAMES,
     ACADEMIC_PRIOR,
+    FitBundle,
     StageLabel,
     StyleGenConfig,
     StyleLabel,
@@ -356,10 +366,12 @@ def test_fit_dataset_on_the_last_reference_peaks_under_fit_peaks(solver):
 
 
 def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypatch):
-    # from the loaded table on, predict holds the table and one matrix,
-    # scaled in place: 1.50. Scaling a copy peaked at 2.26. The load's own
-    # peak, one chunk of text and cells, is 2.2 at this size, whatever the
-    # matrix does, so the peak is reset when load_csv returns.
+    # from the loaded table on, predict holds the table, the probabilities
+    # and one block of rows (11,808 here, the last one folded in), scaled in
+    # place: 1.19. One matrix of all rows peaked at 1.46, and scaling a copy
+    # of it at 2.26. The load's own peak, one chunk of text and cells, is
+    # 2.2 at this size, whatever the matrix does, so the peak is reset when
+    # load_csv returns.
     from edulearn.cli import _csv_text, main
 
     monkeypatch.chdir(tmp_path)
@@ -383,6 +395,80 @@ def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypa
     finally:
         tracemalloc.stop()
     assert peak <= 1.65 * _MATRIX_BYTES
+
+
+def _scoring_bundle(n, k, numeric=3):
+    """A table of n rows (``numeric`` float columns and one 4-category
+    column) and a bundle with random weights and scaler that scores it."""
+    rng = np.random.default_rng(0)
+    classes = ("a", "b", "c")[:k]
+    columns = [*(ColumnSchema(f"f{j}", "numeric") for j in range(numeric)),
+               ColumnSchema("c", "categorical", ("p", "q", "r", "s")),
+               ColumnSchema("y", "target", classes)]
+    features = {f"f{j}": rng.normal(size=n) * 10.0 + j for j in range(numeric)}
+    features["c"] = rng.integers(0, 4, n)
+    ds = Dataset(features=features, targets=np.zeros(0, dtype=np.int64), columns=columns)
+    m = 1 if k == 2 else k
+    d = numeric + 4
+    model = LogisticModel(weights=rng.normal(size=(m, d)), intercepts=rng.normal(size=m),
+                          class_names=classes, converged=True, iterations_used=1)
+    scaler = ScalerParams(means=rng.normal(size=d), stds=rng.uniform(0.5, 2.0, d))
+    return ds, FitBundle(model, scaler, ds.feature_names, "academic", ds.columns)
+
+
+_BLOCK = data_mod.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n, blocks", [
+    (1, [1]), (409, [409]), (_BLOCK - 1, [_BLOCK - 1]), (_BLOCK, [_BLOCK]),
+    (_BLOCK + 1, [_BLOCK + 1]), (2 * _BLOCK - 1, [2 * _BLOCK - 1]),
+    (2 * _BLOCK, [_BLOCK, _BLOCK]), (2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]),
+])
+def test_apply_in_blocks_scores_as_one_matrix(n, blocks, k):
+    # a last block shorter than CHUNK_ROWS joins the one before it. The
+    # probabilities are compared to 1e-14, not to the bit: GEMM bits can
+    # depend on the row count through the host's BLAS kernels.
+    ds, bundle = _scoring_bundle(n, k)
+    with mock.patch.object(pipelines, "predict_proba", wraps=predict_proba) as scored:
+        proba = bundle.apply(ds)
+    assert [len(x) for (_, x), _ in scored.call_args_list] == blocks
+    whole = predict_proba(bundle.model, transform(bundle.scaler, assemble(ds)))
+    assert proba.shape == (n, k) and not proba.flags.writeable
+    assert np.array_equal(classes_from_proba(proba), classes_from_proba(whole))
+    assert np.max(np.abs(proba - whole)) <= 1e-14
+
+
+@pytest.mark.parametrize("value, weight, message", [
+    (1e300, 1e10, "logits overflow"),  # only this row's logits overflow
+    (-1.7e308, 1.0, "too large to standardize"),  # its scaled value overflows
+])
+def test_apply_names_an_overflowing_row_of_its_input(value, weight, message):
+    ds, bundle = _scoring_bundle(2 * _BLOCK + 16, 3)
+    features = dict(ds.features, f0=ds.features["f0"].copy())
+    features["f0"][2 * _BLOCK + 6] = value  # in the second block
+    weights = bundle.model.weights.copy()
+    weights[:, 0] = weight
+    scaler = ScalerParams(means=bundle.scaler.means, stds=np.r_[0.5, bundle.scaler.stds[1:]])
+    bundle = replace(bundle, model=replace(bundle.model, weights=weights), scaler=scaler)
+    with pytest.raises(DegenerateDataError, match=f"row {2 * _BLOCK + 7}\\b.*{message}"):
+        bundle.apply(Dataset(features=features, targets=ds.targets, columns=ds.columns))
+
+
+def test_apply_peaks_in_blocks_not_in_rows():
+    # the n x k output plus the folded last block's one-hot matrix (1.01
+    # blocks of 8,192 rows, 61 columns wide as the academic matrix), its
+    # finiteness masks and probabilities: measured 1.25 block matrices. One
+    # matrix of all 41,060 rows peaked at 5.85, and holding a block while
+    # assembling the next at 2.08.
+    ds, bundle = _scoring_bundle(5 * _BLOCK + 100, 3, numeric=57)
+    tracemalloc.start()
+    try:
+        proba = bundle.apply(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * _BLOCK * 61 * 8 + proba.nbytes
 
 
 @settings(max_examples=40, deadline=None)
