@@ -72,8 +72,10 @@ def _csv_text(rows: list) -> str:
     return buf.getvalue()
 
 
-# rows that _csv_pieces formats at a time
-_WRITE_ROWS = 8192
+# rows that _csv_pieces formats at a time; one block's Python strings and
+# tuples sit on top of what the command holds. At 8,192 an academic
+# `generate` of 76,519 rows peaked at 97 MB, at 1,024 at 75 MB, no slower.
+_WRITE_ROWS = 1024
 
 
 def _csv_pieces(rows):
@@ -328,10 +330,14 @@ def cmd_train(args, seed: int) -> int:
     doc = report_to_doc(report, args.task, bundle.model.class_names, args.train_fraction)
     atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
     atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
-    if not bundle.model.converged:
+    model = bundle.model
+    if not model.converged:
         steps = "epochs" if opt.solver == "sgd" else "iterations"
-        print(f"warning: {opt.solver} did not converge in {bundle.model.iterations_used} {steps}; "
-              "the model is written with converged false", file=sys.stderr)
+        why = f"did not converge in {model.iterations_used} {steps}"
+        if model.grad_norm is not None and model.iterations_used < opt.max_iter:
+            why = f"stalled at the loss's float64 floor, gradient norm {model.grad_norm:.3g}"
+        print(f"warning: {opt.solver} {why}; the model is written with converged false",
+              file=sys.stderr)
     if not args.json:
         print(doc["text_block"])
     return 0

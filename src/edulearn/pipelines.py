@@ -604,8 +604,9 @@ def academic_bayes_predict(n_rows: int, seed: int) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-# rows that academic_csv_rows formats at a time
-_CSV_ROWS = 8192
+# rows that academic_csv_rows formats at a time, as many as cli._csv_pieces
+# joins into one piece of text
+_CSV_ROWS = 1024
 
 
 def academic_csv_rows(n_rows: int, seed: int) -> tuple[list[str], Iterator[tuple[str, ...]]]:

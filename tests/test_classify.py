@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from edulearn import classify
 from edulearn.classify import (
     _OBJECTIVE_BLOCK,
     _SGD_BLOCK,
@@ -380,10 +381,11 @@ def _assert_matches_reference(x, y, cfg):
     return model
 
 
-# row counts below one block, a whole number of blocks, and neither
+# row counts below one block, a whole number of blocks, and neither; three
+# classes take their own walk, and four the generic multinomial one
 @pytest.mark.parametrize("n", [_SGD_BLOCK - 3, 2 * _SGD_BLOCK, 2 * _SGD_BLOCK + 5])
 @pytest.mark.parametrize("l2", [0.0, 0.1])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_fit_sgd_matches_per_sample_reference(k, l2, n):
     rng = np.random.default_rng(100 * k + n)
     x = rng.normal(size=(n, 4))
@@ -391,6 +393,27 @@ def test_fit_sgd_matches_per_sample_reference(k, l2, n):
     cfg = OptimizerConfig(solver="sgd", learning_rate=0.1, l2=l2, epochs=6, seed=3)
     model = _assert_matches_reference(x, y, cfg)
     assert np.all(model.weights != 0.0)
+
+
+@st.composite
+def _sgd_problems(draw):
+    """(x, y, cfg) with 2, 3 or 4 classes, up to three rows short of or past
+    one or two SGD blocks, and some all-zero rows, whose logits are the
+    intercepts alone and tie while those are equal (at the first step)."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from([1, 2])) * _SGD_BLOCK + draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, draw(st.integers(1, 4))))
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    y = rng.permutation(np.arange(n) % k)
+    l2 = draw(st.sampled_from([0.0, 0.1]))
+    return x, y, OptimizerConfig(solver="sgd", learning_rate=0.1, l2=l2, epochs=3, seed=5)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_sgd_problems())
+def test_fit_sgd_matches_per_sample_reference_on_drawn_problems(problem):
+    _assert_matches_reference(*problem)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -537,6 +560,8 @@ def _reference_descent(objective, n_params, tol, max_iter, memory, unit_steps=Fa
             if math.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
+        if not (new - theta).any():
+            break  # a fixed point: every later iteration would repeat this one
         if float((new - theta) @ (g_new - g)) > 1e-12:
             newest = (new - theta, g_new - g)
             if memory:
@@ -591,6 +616,35 @@ def test_gd_takes_a_third_of_the_unit_step_iterations():
     model = fit_gd(x, y, cfg)
     assert model.converged
     assert 3 * model.iterations_used <= unit_iterations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_descent_at_the_loss_rounding_floor_stops_short_of_max_iter(seed, monkeypatch):
+    # features scaled 1 to 4 leave GD's gradient at 1.1e-8 to 1.5e-8 where
+    # the loss stops changing in float64. There the line search halves each
+    # step until it no longer moves the weights; these fits then repeated
+    # that to max_iter, 54,482-56,979 objective evaluations. Measured with
+    # the stop: 192-232 iterations and 272-435 evaluations.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(300, 4)) * np.array([1.0, 2.0, 3.0, 4.0])
+    y = np.argmax(x @ rng.normal(size=(4, 3)) + rng.normal(size=(300, 3)), axis=1)
+    cfg = OptimizerConfig(solver="gd", l2=0.01, tol=1e-8, max_iter=2000)
+    objective, n_params = _packed_objective(x, y, 3, cfg.l2)
+    theta, iterations, path, ref_evaluations = _reference_descent(
+        objective, n_params, cfg.tol, cfg.max_iter, 0
+    )
+    evaluations = []
+    value_grad = classify._multinomial_value_grad
+    monkeypatch.setattr(
+        classify, "_multinomial_value_grad", lambda *a: evaluations.append(1) or value_grad(*a)
+    )
+    model = fit_gd(x, y, cfg)
+    assert not model.converged and model.grad_norm >= cfg.tol
+    assert model.iterations_used < 400 and len(evaluations) < 1000
+    assert model.weights.tobytes() + model.intercepts.tobytes() == theta.tobytes()
+    assert (model.iterations_used, model.loss_path) == (iterations, tuple(path))
+    assert len(evaluations) == ref_evaluations
+    assert model.grad_norm == np.max(np.abs(objective(theta)[1]))
 
 
 @pytest.mark.parametrize("fit, solver", [(fit_gd, "gd"), (fit_lbfgs, "lbfgs")])

@@ -513,9 +513,14 @@ def test_flag_that_would_do_nothing_exits_2(tmp_path, monkeypatch, capsys, args,
          "warning: gd did not converge in 2 iterations; the model is written with converged false\n"),
         (["--solver", "sgd", "--epochs", "0"],
          "warning: sgd did not converge in 0 epochs; the model is written with converged false\n"),
+        # a tol below what the loss can resolve: the search halves the step
+        # until it no longer moves the weights, and the fit stops there
+        (["--solver", "gd", "--tol", "1e-14"],
+         "warning: gd stalled at the loss's float64 floor, gradient norm 1.16e-11; the model "
+         "is written with converged false\n"),
         (["--solver", "lbfgs"], ""),
     ],
-    ids=["gd-max-iter-2", "sgd-epochs-0", "converged"],
+    ids=["gd-max-iter-2", "sgd-epochs-0", "gd-stalled", "converged"],
 )
 def test_train_that_does_not_converge_warns_once(tmp_path, monkeypatch, capsys, solver_args,
                                                 warning):
