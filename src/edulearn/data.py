@@ -319,8 +319,11 @@ def _category_codes(
     precede these cells), after the ``where`` prefix.
 
     Cells are compared as Python strings (an object array), so a cell such as
-    'yes\\x00' stays distinct from 'yes'. The codes are in the narrowest
-    unsigned type that holds the codes of ``index`` after the call.
+    'yes\\x00' stays distinct from 'yes'. load_csv sends it the cells of an
+    open column or of a column whose values numpy strings cannot hold (see
+    _field_type), and every label cell of a chunk read per cell. The codes
+    are in the narrowest unsigned type that holds the codes of ``index``
+    after the call.
     """
     cells = np.asarray(cells, dtype=object)
     if col.allowed_values is None:
@@ -464,21 +467,24 @@ def _reader_rows(lines: list[str], fh, line_no: int, path) -> tuple[list[list[st
     return rows, reader.line_num
 
 
-def _read_columns(lines: list[str], usecols: list[int], dtype) -> np.ndarray:
-    """Columns ``usecols`` of quote-free, checked ``lines`` as an
-    (n, len(usecols)) array, read by numpy's C text reader: floats as
-    float() parses them, or (dtype object) each cell as its str.
+# a pinned column whose longest value is longer than this is read as object
+# cells: a numpy string field is as wide as its longest value in every row
+_STRING_CAP = 64
 
-    ``comments=None``, since numpy's default '#' would cut a cell short;
-    object rather than numpy string cells, which drop trailing NULs.
-    ``max_rows`` makes the reader allocate the array once rather than grow
-    it. Grown blocks left up to 10 MB more heap resident after loading the
-    76,519-row academic CSV, and the train peak carried it (174 against
-    164 MB at seed 0)."""
-    return np.loadtxt(
-        lines, dtype, delimiter=",", quotechar=None, comments=None, ndmin=2,
-        usecols=usecols, max_rows=len(lines),
-    )
+
+def _field_type(col: ColumnSchema):
+    """The type of column ``col``'s field in numpy's record of a line that
+    load_csv reads. A pinned label column's cells are numpy strings one
+    character longer than its longest value, so a longer cell, cut to that
+    width, matches no value; an open column's, or one whose values hold a
+    NUL (which numpy strings drop when trailing) or run past _STRING_CAP,
+    are str objects."""
+    if col.kind == "numeric":
+        return np.float64
+    values = col.allowed_values
+    if values is None or any("\x00" in v for v in values) or max(map(len, values)) > _STRING_CAP:
+        return object
+    return f"U{max(map(len, values)) + 1}"
 
 
 def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> Dataset:
@@ -495,14 +501,18 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     The file is read once, front to back, and checked and encoded
     CHUNK_ROWS lines at a time, so it is never held whole as Python
     strings. Numpy's C text reader reads a chunk without a double quote, a
-    CR, \\x1c-\\x1f (which it strips around a number and float() does not)
-    or a line over csv's field size limit: its numeric columns as one float
-    block, its other columns as str cells. On the 76,519-row academic CSV
-    the load takes 0.84-0.95 s, against 1.19-1.35 s with float() per cell.
+    CR, a NUL, \\x1c-\\x1f (which it strips around a number and float() does
+    not), a blank line or a line over csv's field size limit in one call,
+    into one record per line: numbers as floats, a pinned label column's
+    cells as numpy strings, coded by a sorted lookup, and an open one's as
+    str cells. On the 76,519-row academic CSV the load takes ~0.33 s on a
+    2-vCPU x86-64 host, against ~0.43 s with one read for the numbers and
+    one for the labels.
     csv.reader reads the header and every other chunk. A chunk in which
-    numpy's reader rejects a number or reads one that is not finite is
-    split by csv.reader and read per cell instead, which loads every number
-    float() accepts.
+    numpy's reader meets a row of the wrong width or rejects a number, or
+    which holds a number that is not finite or a label outside
+    allowed_values, is split by csv.reader and read per cell instead, which
+    names the fault and loads every number float() accepts.
 
     Text that is not UTF-8 or that csv.reader rejects (say a cell over its
     field size limit) is a ParseError naming the line, and every error
@@ -538,52 +548,70 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
             c.name: [np.zeros(0) if c.kind == "numeric" else np.zeros(0, np.uint8)] for c in read
         }
         index = {c.name: _category_index(c) for c in read if c.kind != "numeric"}
-        numeric = [c for c in read if c.kind == "numeric"]
-        labels = [c for c in read if c.kind != "numeric"]
-        numeric_cols = [position[c.name] for c in numeric]
-        label_cols = [position[c.name] for c in labels]
-        n_rows = 0
+        types = {c.name: _field_type(c) for c in read}  # a column not read is U1
+        record = np.dtype([(f"f{j}", types.get(name, "U1")) for j, name in enumerate(header)])
+        lookup = {}  # a numpy string column's sorted values and their codes
+        for c in read:
+            if record[position[c.name]].kind == "U":
+                allowed = np.array(c.allowed_values)
+                order = np.argsort(allowed)
+                lookup[c.name] = allowed[order], order.astype(_code_type(len(order)))
+        n_rows, where = 0, f"{path}: "
         while lines := _read_lines(fh, CHUNK_ROWS, path):
-            # text and rows are held until a later chunk rebinds them: freed at
-            # once, text raised the predict peak on the 76,519-row academic CSV
-            # by ~7 MB, and rows the load's peak on it with three quoted cells
-            # by ~15 MB (glibc malloc placement)
+            # text, block and rows are held until a later chunk rebinds them:
+            # freed at once, text raised the predict peak on the 76,519-row
+            # academic CSV by ~7 MB, block the train peak on it from 88-95 to
+            # 96.5-98 MB, and rows the load's peak on it with three quoted
+            # cells by ~15 MB (glibc malloc placement)
             text = "".join(lines)
-            quoted = any(map(text.__contains__, '"\r\x1c\x1d\x1e\x1f'))
-            # numpy's reader has no field size limit; csv.reader checks it
-            per_cell = quoted or max(map(len, lines)) > csv.field_size_limit()
+            # numpy's reader drops a string cell's trailing NULs, skips a blank
+            # line with a warning, and has no field size limit (csv.reader's)
+            per_cell = (
+                any(map(text.__contains__, '"\r\x00\x1c\x1d\x1e\x1f'))
+                or "\n" in lines
+                or max(map(len, lines)) > csv.field_size_limit()
+            )
+            chunk, n_lines = {}, len(lines)
+            if not per_cell:
+                # numpy's default comment mark '#' would cut a cell short, and
+                # max_rows allocates the block once: grown blocks left up to
+                # 10 MB more heap resident after the 76,519-row academic CSV
+                try:
+                    block = np.loadtxt(
+                        lines, record, delimiter=",", quotechar=None, comments=None,
+                        ndmin=1, max_rows=n_lines,
+                    )
+                    for c in read:
+                        cells = block[f"f{position[c.name]}"]
+                        if c.kind == "numeric":  # a copy, so no chunk's block outlives it
+                            cells = chunk[c.name] = cells.copy()
+                            if not np.isfinite(cells).all():
+                                raise ValueError
+                        elif c.name in lookup:
+                            keys, codes = lookup[c.name]
+                            at = np.minimum(np.searchsorted(keys, cells), len(keys) - 1)
+                            if not (keys[at] == cells).all():
+                                raise ValueError
+                            chunk[c.name] = codes[at]
+                        else:
+                            chunk[c.name] = _category_codes(c, cells, index[c.name], n_rows, where)
+                except ValueError:  # per cell: names the fault, or loads 1_0 as float() does
+                    per_cell = True
             if per_cell:
                 rows, n_lines = _reader_rows(lines, fh, line_no, path)
-                widths = list(map(len, rows))
-            else:  # csv.reader splits these lines as str.split does, but a blank one to no fields
-                n_lines = len(lines)
-                widths = [line.count(",") + (line != "\n") for line in lines]
-            for i, n in enumerate(widths, n_rows + 1):
-                if n != width:
-                    raise ParseError(f"{path}: row {i} has {n} values, expected {width}")
-            if not per_cell:
-                try:
-                    numbers = _read_columns(lines, numeric_cols, np.float64)
-                    if not np.isfinite(numbers).all():
-                        raise ValueError
-                except ValueError:  # per cell: names the fault, or loads 1_0 as float() does
-                    per_cell, rows = True, list(csv.reader(lines))
-            if per_cell:
+                for i, row in enumerate(rows, n_rows + 1):
+                    if len(row) != width:
+                        raise ParseError(f"{path}: row {i} has {len(row)} values, expected {width}")
                 flat = list(chain.from_iterable(rows))
-                block = {c.name: flat[position[c.name] :: width] for c in read}
-            else:
-                block = dict(zip((c.name for c in numeric), numbers.T))
-                if labels:
-                    strings = _read_columns(lines, label_cols, object)
-                    block.update(zip((c.name for c in labels), strings.T))
-            for c in read:
-                cells = block[c.name]
-                if c.kind != "numeric":
-                    cells = _category_codes(c, cells, index[c.name], n_rows, f"{path}: ")
-                elif per_cell:
-                    cells = _parse_numeric(cells, c.name, path, n_rows)
-                parts[c.name].append(cells)
-            line_no, n_rows = line_no + n_lines, n_rows + len(widths)
+                for c in read:
+                    cells = flat[position[c.name] :: width]
+                    if c.kind == "numeric":
+                        chunk[c.name] = _parse_numeric(cells, c.name, path, n_rows)
+                    else:
+                        chunk[c.name] = _category_codes(c, cells, index[c.name], n_rows, where)
+            for name, cells in chunk.items():
+                parts[name].append(cells)
+            line_no, n_rows = line_no + n_lines, n_rows + (len(rows) if per_cell else n_lines)
     # each chunk's codes are as narrow as its column's categories then were,
     # so the concatenation is as narrow as they are at the end
     values = {c.name: np.concatenate(parts.pop(c.name)) for c in read}

@@ -1,12 +1,16 @@
+import builtins
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +20,7 @@ from conftest import cli_env, report_schema
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edulearn import cli, pipelines
+from edulearn import cli, errors, pipelines
 from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, predict_proba
 from edulearn.data import ColumnSchema, ScalerParams, assemble, load_csv, transform
 from edulearn.errors import ParameterError
@@ -751,6 +755,67 @@ def test_unreadable_csv_exits_1(style_model, tmp_path, command, make_csv):
     assert r.stderr.startswith("error[ParseError]: bad.csv: "), r.stderr
     assert "Traceback" not in r.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+
+@pytest.fixture(scope="module")
+def academic_csv(tmp_path_factory):
+    """A 60-row generated academic CSV, its schema, and a model trained on it."""
+    work = tmp_path_factory.mktemp("academic_csv")
+    assert main(["generate", "--kind", "academic", "--n", "60", "--seed", "3",
+                 "--out", str(work / "d_")]) == 0
+    assert main(["train", "--task", "academic", "--input", str(work / "d_data.csv"),
+                 "--schema", str(work / "d_schema.json"), "--seed", "3", "--json",
+                 "--out", str(work / "m_")]) == 0
+    return work
+
+
+# what a mutation inserts or writes over: CSV syntax, line ends, a NUL, a
+# byte that is not UTF-8, one that numpy's reader strips around a number,
+# numbers that are not finite, padding, and a label longer than any class
+_CSV_PIECES = [b'"', b",", b"\r", b"\n", b"\x00", b"\xff", b"\x1c", b"1e999", b"nan", b" ",
+               b"Graduated_early"]
+_OUTPUTS = {"train": ["o_report.json", "o_model.json"], "predict": ["o_predictions.csv"]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    command=st.sampled_from(list(_OUTPUTS)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 2**20),
+                  st.sampled_from(_CSV_PIECES), st.integers(1, 8)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_csv_mutations_end_in_a_named_error_and_leave_no_output(academic_csv, command, edits):
+    """train and predict, in-process, on the CSV with bytes inserted, written
+    over or deleted: exit 0 with every output written, or exit 1 or 2 (2 for
+    a ParameterError or OSError) with one error line that names an
+    EdulearnError or OSError, and no output file."""
+    data = (academic_csv / "d_data.csv").read_bytes()
+    for op, at, piece, n in edits:
+        at %= len(data) + 1
+        end = at + {"insert": 0, "replace": len(piece), "delete": n}[op]
+        data = data[:at] + (b"" if op == "delete" else piece) + data[end:]
+    if command == "train":
+        argv = ["train", "--task", "academic", "--schema", str(academic_csv / "d_schema.json"),
+                "--seed", "3", "--json"]
+    else:
+        argv = ["predict", "--model", str(academic_csv / "m_model.json")]
+    with tempfile.TemporaryDirectory(dir=academic_csv) as work:
+        (Path(work) / "in.csv").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", f"{work}/in.csv", "--out", f"{work}/o_"])
+        written = sorted(p.name for p in Path(work).iterdir())
+    if code == 0:
+        assert written == sorted(["in.csv", *_OUTPUTS[command]])
+        return
+    errors_named = re.findall(r"^error\[(\w+)\]: ", err.getvalue(), re.MULTILINE)
+    assert err.getvalue().startswith("error[") and len(errors_named) == 1, err.getvalue()
+    named = getattr(errors, errors_named[0], None) or getattr(builtins, errors_named[0], None)
+    assert isinstance(named, type) and issubclass(named, (errors.EdulearnError, OSError))
+    assert code == (2 if issubclass(named, (ParameterError, OSError)) else 1)
+    assert written == ["in.csv"]
 
 
 @pytest.mark.parametrize(

@@ -252,8 +252,10 @@ def test_load_csv_error_past_the_first_chunk_names_file_and_row(
     text = "x,Target\n1.0,A\n" + "2.0,B\n" * (n - 1) + row + "\n" + _PATH_ROW[path_kind]
     path = _write(tmp_path, "d.csv", text)
     expected = message.format(row=n + 1, line=n + 2)
-    with pytest.raises(error, match=f"^{re.escape(f'{path}: {expected}')}$"):
-        load_csv(path, BASIC_SCHEMA)
+    with warnings.catch_warnings():  # numpy's reader warns when it skips a blank line
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {expected}')}$"):
+            load_csv(path, BASIC_SCHEMA)
 
 
 _NOTE_SCHEMA = [ColumnSchema("note", "skip"), *BASIC_SCHEMA]
@@ -409,7 +411,7 @@ _PROPERTY_CELLS = {
     "c": (
         ["red", "blue", "green", "", "yes\x00", "#red", "a#b", "a\x0bb", "a b"],
         ['"red"', '"a,b"', '"x""y"', 'x"y'],
-        ["pink"],
+        ["pink", "greenish"],
     ),
     "Target": (["A", "B"], ['"A"', '"B\r\nB"'], ["C", '"\r"']),
 }
@@ -419,8 +421,9 @@ _PROPERTY_CELLS = {
 def _csv_texts(draw):
     """CSV text over the columns id/x/c/Target. Quoted cells and CR line ends
     (the csv.reader path) and faults each come in about half the texts. The
-    faults: empty, nan/inf and unparsable numbers, unknown labels, ragged rows,
-    blank lines, a BOM, and duplicate, missing or quoted header names."""
+    faults: empty, nan/inf and unparsable numbers, unknown and over-long
+    labels (cut short in numpy's string cells), ragged rows, blank lines, a
+    BOM, and duplicate, missing or quoted header names."""
     quoted, faulty = draw(st.booleans()), draw(st.booleans())
     pools = {
         name: st.sampled_from(plain + quotes * quoted + faults * faulty)
@@ -444,17 +447,19 @@ def _csv_texts(draw):
     return draw(st.sampled_from(["", "\ufeff"] if faulty else [""])) + text
 
 
+_PINNED_C = ("red", "blue", "green", "a,b", 'x"y', "", "#red", "a#b", "a\x0bb", "a b")
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     _csv_texts(),
-    st.sampled_from([
-        None,
-        ("red", "blue", "green", "a,b", 'x"y', "", "yes\x00", "#red", "a#b", "a\x0bb", "a b"),
-    ]),
+    st.sampled_from([None, (*_PINNED_C, "yes\x00"), _PINNED_C]),
     st.sampled_from([None, ("A", "B")]),
     st.booleans(),
     st.sampled_from([1, 2, 3, 8192]),
 )
+# a cell that numpy's string field cuts to 'greeni', which still matches nothing
+@example("id,x,c,Target\nr1,1.5,red,A\nr2,-2,greenish,B\n", _PINNED_C, ("A", "B"), True, 8192)
 def test_load_csv_matches_csv_reader_or_raises_edulearn_error(
     tmp_path_factory, text, categories, classes, require_target, chunk_rows
 ):
@@ -497,6 +502,56 @@ def test_load_csv_reports_the_fault_of_the_earlier_schema_column(
     text = "c,x,Target\n" + first + "blue,2.0,B\npink,oops,A\nred,1.0,B\n"
     path = _write(tmp_path, "d.csv", text)
     with pytest.raises((LabelError, ParseError), match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_csv(path, schema)
+
+
+# numpy's reader holds a pinned column's cells one character wider than its
+# longest value, so a longer cell is cut short; the fault names it whole
+@pytest.mark.parametrize("path_kind", list(_PATH_ROW))
+@pytest.mark.parametrize("row", [2, data_mod.CHUNK_ROWS + 2], ids=["first-chunk", "later-chunk"])
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("blue-ish,{x},B", "column 'c': value 'blue-ish' not in allowed_values"),
+        ("blue,{x},Bee", "target 'Target': value 'Bee' not in allowed_values"),
+        ("blue ,{x},B", "column 'c': value 'blue ' not in allowed_values"),
+    ],
+    ids=["categorical", "target", "trailing-space"],
+)
+def test_load_csv_over_long_cell_of_a_pinned_column_is_named_whole(
+    tmp_path, path_kind, row, cells, message
+):
+    x = {"split": "2.0", "csv-reader": '"2.0"'}[path_kind]
+    rows = ["red,1.0,A"] * (row + 1)
+    rows[row - 1] = cells.format(x=x)
+    path = _write(tmp_path, "d.csv", "c,x,Target\n" + "\n".join(rows) + "\n")
+    with pytest.raises(LabelError, match=f"^{re.escape(f'{path}: row {row}, {message}')}$"):
+        load_csv(path, _LABEL_THEN_NUMBER)
+
+
+def test_load_csv_pinned_value_holding_a_nul_loads_exactly(tmp_path):
+    # numpy strings drop a trailing NUL: 'yes' in a chunk without a NUL must
+    # not read as 'yes\x00'
+    schema = [ColumnSchema("c", "categorical", ("no", "yes\x00")), *BASIC_SCHEMA]
+    path = _write(tmp_path, "d.csv", "c,x,Target\nno,1.0,A\nyes\x00,2.0,B\n")
+    ds = load_csv(path, schema)
+    assert ds.features["c"].tolist() == [0, 1] and ds.targets.tolist() == [0, 1]
+    path = _write(tmp_path, "e.csv", "c,x,Target\nno,1.0,A\nyes,2.0,B\n")
+    message = f"{path}: row 2, column 'c': value 'yes' not in allowed_values"
+    with pytest.raises(LabelError, match=f"^{re.escape(message)}$"):
+        load_csv(path, schema)
+
+
+def test_load_csv_pinned_values_past_the_string_cap_load_exactly(tmp_path):
+    values = ("a" * 65, "b" * 300, "c")
+    schema = [ColumnSchema("c", "categorical", values), *BASIC_SCHEMA]
+    rows = [f"{v},{i}.0,{'AB'[i % 2]}\n" for i, v in enumerate([*values, "c", values[1]])]
+    ds = load_csv(_write(tmp_path, "d.csv", "c,x,Target\n" + "".join(rows)), schema)
+    assert ds.features["c"].tolist() == [0, 1, 2, 2, 1]
+    assert ds.features["x"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    path = _write(tmp_path, "e.csv", "c,x,Target\nc,1.0,A\n" + "a" * 64 + ",2.0,B\n")
+    message = f"{path}: row 2, column 'c': value '{'a' * 64}' not in allowed_values"
+    with pytest.raises(LabelError, match=f"^{re.escape(message)}$"):
         load_csv(path, schema)
 
 
