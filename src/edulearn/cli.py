@@ -2,22 +2,21 @@
 prediction with deterministic, machine-readable outputs.
 
 Output files are written atomically (temp file + rename). JSON is what
-``json.dumps`` writes and CSV what ``csv.writer`` writes, so every float is
-its shortest round-tripping repr and a CSV cell is quoted where it needs to
-be; a rerun with the same flags and seed is byte-identical. Exit codes:
-0 success, 1 runtime/data error, 2 usage/config error.
+``json.dumps`` writes. CSV is what ``csv.writer`` writes, built by
+``data.csv_pieces`` a block of columns at a time: each distinct string is
+quoted once, and each distinct number formatted once per block. So every
+float is its shortest round-tripping repr and a CSV cell is quoted where it
+needs to be; a rerun with the same flags and seed is byte-identical. Exit
+codes: 0 success, 1 runtime/data error, 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import tempfile
-from itertools import chain, islice
 
 import numpy as np
 
@@ -46,45 +45,6 @@ def dumps_canonical(value) -> str:
     """JSON with 2-space indentation and each float as its shortest
     round-tripping repr. A non-finite float is a ValueError: it has no JSON."""
     return json.dumps(value, indent=2, allow_nan=False)
-
-
-def _csv_text(rows: list) -> str:
-    """The text csv.writer writes for ``rows`` of string cells (header first),
-    which quotes a cell holding a comma, a quote or a newline.
-
-    When no cell holds a comma, quote, CR or LF and no row is one empty cell,
-    that text is the cells joined by commas and newlines, so it is built
-    directly: 0.06 s on the 76,519-row academic CSV, against 0.45 s for
-    csv.writer.
-    """
-    lines = [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if (
-        all(lines)
-        and '"' not in text
-        and "\r" not in text
-        and text.count("\n") == len(lines)
-        and text.count(",") == sum(map(len, rows)) - len(rows)
-    ):
-        return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-# rows that _csv_pieces formats at a time; one block's Python strings and
-# tuples sit on top of what the command holds. At 8,192 an academic
-# `generate` of 76,519 rows peaked at 97 MB, at 1,024 at 75 MB, no slower.
-_WRITE_ROWS = 1024
-
-
-def _csv_pieces(rows):
-    """_csv_text of ``rows`` (an iterable), one piece per _WRITE_ROWS rows, so
-    a large file is never held whole as Python strings. csv.writer formats
-    each row on its own, so the pieces join to the whole file's text."""
-    rows = iter(rows)
-    while block := list(islice(rows, _WRITE_ROWS)):
-        yield _csv_text(block)
 
 
 def atomic_write_text(path: str, text) -> None:
@@ -268,19 +228,22 @@ def cmd_generate(args, seed: int) -> int:
     }
     if args.kind == "style":
         cfg = pipelines.StyleGenConfig(n_students=n, seed=seed, **style)
-        columns = pipelines.style_session_columns(pipelines.generate_style_sessions(cfg))
-        header, rows = list(columns), list(zip(*(map(str, c) for c in columns.values())))
-        schema, n = pipelines.style_schema(), len(rows)
+        sessions = pipelines.style_session_columns(pipelines.generate_style_sessions(cfg))
+        header, columns = list(sessions), [
+            data_mod.csv_cells(c) if isinstance(c[0], str) else np.asarray(c)
+            for c in sessions.values()
+        ]
+        schema, n = pipelines.style_schema(), len(columns[0])
     elif style:
         flag = "--" + next(iter(style)).replace("_", "-")
         raise ParameterError(f"{flag} applies only to --kind style")
     else:
-        header, rows = pipelines.academic_csv_rows(n, seed)
+        header, columns = pipelines.academic_csv_columns(n, seed)
         schema = pipelines.academic_schema()
 
     csv_path = args.out + OUTPUT_DATA
     schema_path = args.out + OUTPUT_SCHEMA
-    atomic_write_text(csv_path, _csv_pieces(chain([header], rows)))
+    atomic_write_text(csv_path, data_mod.csv_pieces(header, columns))
     schema_text = dumps_canonical(data_mod.schema_to_doc(schema)) + "\n"
     atomic_write_text(schema_path, schema_text)
     print(f"wrote {n} rows to {csv_path} (schema: {schema_path})")
@@ -349,11 +312,11 @@ def cmd_predict(args) -> int:
     proba = bundle.apply(pipelines.task_features(
         bundle.task, data_mod.load_csv(args.input, bundle.schema, require_target=False)
     ))
-    names = [model.class_names[k] for k in classes_from_proba(proba).tolist()]
+    names = data_mod.csv_cells(model.class_names)[classes_from_proba(proba)]
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
-    rows = zip(map(str, range(len(names))), names, *(map(repr, p) for p in proba.T.tolist()))
-    atomic_write_text(args.out + OUTPUT_PREDICTIONS, _csv_pieces(chain([header], rows)))
+    columns = [np.arange(len(names)), names, *proba.T]
+    atomic_write_text(args.out + OUTPUT_PREDICTIONS, data_mod.csv_pieces(header, columns))
     print(f"wrote {len(names)} predictions to {args.out + OUTPUT_PREDICTIONS}")
     return 0
 

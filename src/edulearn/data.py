@@ -1,4 +1,5 @@
-"""CSV ingestion, categorical encoding, seeded splitting, and standardization.
+"""CSV ingestion and writing, categorical encoding, seeded splitting, and
+standardization.
 
 Schema files are JSON documents (``schema_version`` 1) listing columns in
 order::
@@ -27,10 +28,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -61,6 +62,10 @@ __all__ = [
     "read_schema",
     "encode_columns",
     "load_csv",
+    "CSV_BLOCK_ROWS",
+    "csv_cells",
+    "csv_blocks",
+    "csv_pieces",
     "assemble",
     "split_indices",
     "split",
@@ -616,6 +621,56 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     # so the concatenation is as narrow as they are at the end
     values = {c.name: np.concatenate(parts.pop(c.name)) for c in read}
     return _encoded(columns, values, index)
+
+
+# rows of every CSV that csv_blocks formats at a time; one block's Python
+# strings sit on top of what the command holds. At 8,192 an academic
+# `generate` of 76,519 rows peaked at 97 MB, at 1,024 at 75 MB, no slower.
+CSV_BLOCK_ROWS = 1024
+
+
+def csv_cells(strings) -> np.ndarray:
+    """An object array of the text csv.writer writes for each string as one
+    cell of a row of two or more: the string, quoted where it holds a comma,
+    a quote, CR or LF. Each distinct string is quoted once."""
+    distinct = dict.fromkeys(strings)
+    lines = []  # csv.writer writes each row with one call of write
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (s, "") for s in distinct
+    )
+    quoted = {s: line[:-2] for s, line in zip(distinct, lines)}  # less the ",\n"
+    return np.array([quoted[s] for s in strings], dtype=object)
+
+
+def _number_cells(values: np.ndarray) -> list[str]:
+    """repr of each float64 or int64 of ``values``, which is what csv.writer
+    writes for it. Each distinct bit pattern is formatted once (so -0.0 and
+    each NaN keep their own repr): most academic columns hold a few
+    distinct values per block."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if len(distinct) == len(values):  # nothing to share: skip the gather
+        return list(map(repr, values.tolist()))
+    table = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    return table[inverse].tolist()
+
+
+def csv_blocks(columns) -> Iterator[list[list[str]]]:
+    """Each CSV_BLOCK_ROWS rows of ``columns`` (equal-length float64 or int64
+    arrays, or object arrays of csv_cells text) as columns of the text
+    csv.writer writes for each cell."""
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        yield [c[rows].tolist() if c.dtype == object else _number_cells(c[rows]) for c in columns]
+
+
+def csv_pieces(header, columns) -> Iterator[str]:
+    """The text csv.writer writes for the ``header`` row and the rows of two
+    or more ``columns`` (as csv_blocks takes them), one piece per block: a
+    row's cell texts joined by commas, as csv.writer writes any row but one
+    of a single empty cell."""
+    yield ",".join(csv_cells(header)) + "\n"
+    for block in csv_blocks(columns):
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

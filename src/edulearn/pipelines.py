@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
     "academic_schema",
     "generate_academic_synthetic",
     "academic_bayes_predict",
+    "academic_csv_columns",
     "academic_csv_rows",
 ]
 
@@ -604,34 +606,28 @@ def academic_bayes_predict(n_rows: int, seed: int) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-# rows that academic_csv_rows formats at a time, as many as cli._csv_pieces
-# joins into one piece of text
-_CSV_ROWS = 1024
+def academic_csv_columns(n_rows: int, seed: int) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of the synthetic set as data.csv_pieces writes
+    them: each numeric column as its float64 values, written with repr so a
+    load round-trips bit-exactly, and each categorical column and Target as
+    the csv_cells text of its values."""
+    num, cat, _, targets = _academic_sample(n_rows, seed)
+    cat["Target"] = targets
+    names = {**_CATEGORIES, "Target": ACADEMIC_CLASS_NAMES}
+    header = [*_COLUMN_ORDER, "Target"]
+    # each column's codes are freed as its cells replace them
+    return header, [
+        data_mod.csv_cells(names[name])[cat.pop(name)] if name in names else num.pop(name)
+        for name in header
+    ]
 
 
 def academic_csv_rows(n_rows: int, seed: int) -> tuple[list[str], Iterator[tuple[str, ...]]]:
-    """Header and an iterator of cell-string rows for writing the synthetic
-    set as a CSV, formatted _CSV_ROWS rows at a time so the file is never
-    held whole as Python strings.
-
-    Floats are written with repr so a load round-trips bit-exactly.
-    """
-    num, cat, _, targets = _academic_sample(n_rows, seed)
-    header = [*_COLUMN_ORDER, "Target"]
-    columns = {**num, **cat, "Target": targets}
-    labels = {name: np.asarray(values, dtype=object) for name, values in _CATEGORIES.items()}
-    labels["Target"] = np.asarray(ACADEMIC_CLASS_NAMES, dtype=object)
-
-    def rows():
-        for start in range(0, n_rows, _CSV_ROWS):
-            block = {name: column[start : start + _CSV_ROWS] for name, column in columns.items()}
-            yield from zip(*(
-                labels[name][block[name]].tolist() if name in labels
-                else list(map(repr, block[name].tolist()))
-                for name in header
-            ))
-
-    return list(header), rows()
+    """Header and an iterator of the cell-text rows that `generate` writes
+    for the synthetic set: a view over the data.csv_blocks of
+    academic_csv_columns, so the rows are never held whole."""
+    header, columns = academic_csv_columns(n_rows, seed)
+    return header, chain.from_iterable(zip(*block) for block in data_mod.csv_blocks(columns))
 
 
 def packaged_academic_schema() -> list[ColumnSchema]:

@@ -37,6 +37,18 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
+def _inputs(fit: str, x, y, as_x=as_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` (as_x) and ``y`` (a vector) as float64 arrays of as many rows;
+    one that holds a NaN or an infinity is a ParameterError naming it."""
+    xa, yv = as_x(x), as_vector(y)
+    if xa.shape[0] != yv.shape[0]:
+        raise DimensionError(f"{fit}: {xa.shape[0]} rows but {yv.shape[0]} targets")
+    for name, values in (("x", xa), ("y", yv)):
+        if not np.isfinite(values).all():
+            raise ParameterError(f"{fit}: {name} must be finite")
+    return xa, yv
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Fitted linear model: y_hat = intercept + X @ coefficients.
@@ -80,9 +92,7 @@ def fit_simple(x, y) -> LinearModel:
     slope = sum((y - ybar)(x - xbar)) / sum((x - xbar)^2), intercept =
     ybar - slope * xbar.
     """
-    xv, yv = as_vector(x), as_vector(y)
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionError(f"fit_simple: lengths differ ({xv.shape[0]} vs {yv.shape[0]})")
+    xv, yv = _inputs("fit_simple", x, y, as_vector)
     if xv.shape[0] < 2:
         raise ParameterError("fit_simple needs at least 2 points")
     xbar, ybar = xv.mean(), yv.mean()
@@ -95,10 +105,8 @@ def fit_simple(x, y) -> LinearModel:
 
 def fit_multiple(x, y) -> LinearModel:
     """Multiple linear regression via the normal equations on [X | 1]."""
-    xm, yv = as_matrix(x), as_vector(y)
+    xm, yv = _inputs("fit_multiple", x, y)
     n, d = xm.shape
-    if n != yv.shape[0]:
-        raise DimensionError(f"fit_multiple: {n} rows but {yv.shape[0]} targets")
     if n < d + 1:
         raise ParameterError(f"fit_multiple needs at least {d + 1} rows for {d} predictors")
     g = np.hstack([xm, np.ones((n, 1))])
@@ -153,9 +161,7 @@ def fit_ridge(x, y, lam: float) -> LinearModel:
     """
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    xm, yv = as_matrix(x), as_vector(y)
-    if xm.shape[0] != yv.shape[0]:
-        raise DimensionError(f"fit_ridge: {xm.shape[0]} rows but {yv.shape[0]} targets")
+    xm, yv = _inputs("fit_ridge", x, y)
     xbar = xm.mean(axis=0)
     ybar = yv.mean()
     xc = xm - xbar
@@ -178,17 +184,16 @@ def fit_lasso(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10_000) -> 
     The intercept is unpenalized. Stops when the largest coefficient change
     in a sweep (intercept included) drops below ``tol``; if ``max_sweeps``
     runs out first the model is returned with ``converged=False``. The
-    per-sweep objective is recorded in ``objective_path`` and must never
-    increase.
+    per-sweep objective is recorded in ``objective_path`` and never
+    increases: a sweep that raises it beyond rounding is a
+    DegenerateDataError, not a model.
     """
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
     if tol <= 0 or max_sweeps < 1:
         raise ParameterError("fit_lasso needs tol > 0 and max_sweeps >= 1")
-    xm, yv = as_matrix(x), as_vector(y)
+    xm, yv = _inputs("fit_lasso", x, y)
     n, d = xm.shape
-    if n != yv.shape[0]:
-        raise DimensionError(f"fit_lasso: {n} rows but {yv.shape[0]} targets")
     if n < 1:
         raise DimensionError("fit_lasso needs at least one row")
 
@@ -219,7 +224,10 @@ def fit_lasso(x, y, lam: float, tol: float = 1e-8, max_sweeps: int = 10_000) -> 
             resid -= shift
             max_delta = max(max_delta, abs(shift))
         obj = objective()
-        assert obj <= path[-1] + 1e-10 * (1.0 + abs(path[-1])), "lasso objective increased"
+        if not obj <= path[-1] + 1e-10 * (1.0 + abs(path[-1])):
+            raise DegenerateDataError(
+                f"fit_lasso: objective went from {path[-1]!r} to {obj!r} in sweep {len(path)}"
+            )
         path.append(obj)
         if max_delta < tol:
             converged = True

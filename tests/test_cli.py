@@ -15,12 +15,14 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from conftest import cli_env, report_schema
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edulearn import cli, errors, pipelines
+from edulearn import data as data_mod
 from edulearn.classify import LogisticModel, OptimizerConfig, compute_metrics, predict, predict_proba
 from edulearn.data import ColumnSchema, ScalerParams, assemble, load_csv, transform
 from edulearn.errors import ParameterError
@@ -85,24 +87,50 @@ def test_model_doc_round_trips_exactly(parts):
 
 
 _csv_cell = st.one_of(st.text(max_size=6), st.text(alphabet='ab ,"\r\n', max_size=4))
+_float_cell = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
+)
 
 
-@given(st.lists(st.lists(_csv_cell, max_size=4), max_size=5))
-@example([["row", "p_a"], ["0", "0.5"]])
-@example([["drop, early", 'say "hi"'], [""], [], ["a\nb", "c\rd"]])
-def test_csv_text_is_what_csv_writer_writes(rows):
+@st.composite
+def _csv_tables(draw):
+    """Rows for csv.writer (floats as their repr), and the same table as a
+    header and columns for data.csv_pieces: two to four cells a row, each
+    column of strings or of floats."""
+    width, n_rows = draw(st.integers(2, 4)), draw(st.integers(0, 9))
+    header = draw(st.lists(_csv_cell, min_size=width, max_size=width))
+    floats = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    columns = [draw(st.lists(_float_cell if f else _csv_cell, min_size=n_rows, max_size=n_rows))
+               for f in floats]
+    rows = [header, *zip(*(map(repr, c) if f else c for c, f in zip(columns, floats)))]
+    return rows, header, [
+        np.array(c, np.float64) if f else data_mod.csv_cells(c) for c, f in zip(columns, floats)
+    ]
+
+
+@given(_csv_tables(), st.integers(1, 4))
+@example(([["row", "p_a"], ["0", "0.5"], ["1", "a,b"], ["2", "0.25"]], ["row", "p_a"],
+          [np.arange(3), data_mod.csv_cells(["0.5", "a,b", "0.25"])]), 2)
+@example(([["drop, early", 'say "hi"'], ["a\nb", "c\rd"], ["", ""]], ["drop, early", 'say "hi"'],
+          [data_mod.csv_cells(["a\nb", ""]), data_mod.csv_cells(["c\rd", ""])]), 1)
+def test_csv_pieces_join_to_what_csv_writer_writes(table, block_rows):
+    rows, header, columns = table
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    assert cli._csv_text(rows) == buf.getvalue()
+    with mock.patch.object(data_mod, "CSV_BLOCK_ROWS", block_rows):
+        assert "".join(data_mod.csv_pieces(header, columns)) == buf.getvalue()
 
 
-@given(st.lists(st.lists(_csv_cell, max_size=4), max_size=9), st.integers(1, 4))
-@example([["row", "p_a"], ["0", "0.5"], ["1", "a,b"], ["2", "0.25"]], 2)
-def test_csv_pieces_join_to_what_csv_writer_writes(rows, block_rows):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    with mock.patch.object(cli, "_WRITE_ROWS", block_rows):
-        assert "".join(cli._csv_pieces(iter(rows))) == buf.getvalue()
+@given(st.lists(_float_cell, max_size=40))
+@example([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+          -1e-310, 0.1, 0.1, -0.0, 1e16, 1.7976931348623157e308])
+def test_number_cells_are_the_repr_of_each_value(values):
+    a = np.array(values, np.float64)
+    assert data_mod._number_cells(a) == list(map(repr, values))
+    # a strided column, as predict takes each class's probabilities
+    assert data_mod._number_cells(np.stack([a, a], axis=1)[:, 1]) == list(map(repr, values))
+    ints = [int(v) for v in values if abs(v) < 2.0**63] + [-(2**63), 2**63 - 1]
+    assert data_mod._number_cells(np.array(ints, np.int64)) == list(map(repr, ints))
 
 
 def test_dumps_canonical_shapes():
@@ -322,7 +350,7 @@ def test_predict_csv_quotes_class_names(tmp_path, monkeypatch):
 )
 def test_predictions_csv_in_blocks_is_what_csv_writer_writes(tmp_path, monkeypatch, classes):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "_WRITE_ROWS", 3)
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_ROWS", 3)
     with open("q.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([["x", "Target"]] + [
             [i % 3 + 0.1 * (i % 7), classes[i % len(classes)]] for i in range(20)
@@ -807,15 +835,88 @@ def test_csv_mutations_end_in_a_named_error_and_leave_no_output(academic_csv, co
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, "--input", f"{work}/in.csv", "--out", f"{work}/o_"])
         written = sorted(p.name for p in Path(work).iterdir())
+    _check_outcome(code, err.getvalue(), written, ["in.csv"], _OUTPUTS[command])
+
+
+def _check_outcome(code, stderr, written, inputs, outputs):
+    """Exit 0 with every output written, or exit 1 or 2 (2 for a
+    ParameterError or OSError) with one error line that names an
+    EdulearnError or OSError, and no output file."""
     if code == 0:
-        assert written == sorted(["in.csv", *_OUTPUTS[command]])
+        assert written == sorted([*inputs, *outputs])
         return
-    errors_named = re.findall(r"^error\[(\w+)\]: ", err.getvalue(), re.MULTILINE)
-    assert err.getvalue().startswith("error[") and len(errors_named) == 1, err.getvalue()
+    errors_named = re.findall(r"^error\[(\w+)\]: ", stderr, re.MULTILINE)
+    assert stderr.startswith("error[") and len(errors_named) == 1, stderr
     named = getattr(errors, errors_named[0], None) or getattr(builtins, errors_named[0], None)
     assert isinstance(named, type) and issubclass(named, (errors.EdulearnError, OSError))
     assert code == (2 if issubclass(named, (ParameterError, OSError)) else 1)
-    assert written == ["in.csv"]
+    assert written == sorted(inputs)
+
+
+# what a mutation writes over a leaf of a JSON document
+_JSON_LEAVES = [None, True, False, 0, -1, 1e30, 1e308, "x", [], {}]
+
+
+def _json_places(doc, op, path=()):
+    """The path of every place in ``doc`` that ``op`` applies to: every leaf
+    (replace), key or list element (delete), or list element (duplicate)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        here, nested = (*path, key), isinstance(value, (dict, list)) and value
+        if {"replace": not nested, "delete": True, "duplicate": isinstance(doc, list)}[op]:
+            yield here
+        if nested:
+            yield from _json_places(value, op, here)
+
+
+def _mutate_json(doc, edits):
+    """``doc`` with each edit applied in turn: a leaf replaced, a key or
+    list element deleted, or a list element duplicated. An edit picks its
+    place among those it applies to, modulo their number."""
+    for op, at, leaf in edits:
+        places = list(_json_places(doc, op))
+        if not places:
+            continue
+        *parent_path, key = places[at % len(places)]
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        if op == "replace":
+            parent[key] = json.loads(json.dumps(leaf))
+        elif op == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(list(_OUTPUTS)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "delete", "duplicate"]), st.integers(0, 2**20),
+                  st.sampled_from(_JSON_LEAVES)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_json_mutations_end_in_a_named_error_and_leave_no_output(academic_csv, command, edits):
+    """predict with a mutated model.json, and train --schema with a mutated
+    schema document, in-process: the outcomes the CSV mutations have."""
+    name = "m_model.json" if command == "predict" else "d_schema.json"
+    doc = _mutate_json(json.loads((academic_csv / name).read_text()), edits)
+    with tempfile.TemporaryDirectory(dir=academic_csv) as work:
+        (Path(work) / "in.json").write_text(json.dumps(doc))
+        if command == "train":
+            argv = ["train", "--task", "academic", "--schema", f"{work}/in.json",
+                    "--seed", "3", "--json"]
+        else:
+            argv = ["predict", "--model", f"{work}/in.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", str(academic_csv / "d_data.csv"),
+                         "--out", f"{work}/o_"])
+        written = sorted(p.name for p in Path(work).iterdir())
+    _check_outcome(code, err.getvalue(), written, ["in.json"], _OUTPUTS[command])
 
 
 @pytest.mark.parametrize(

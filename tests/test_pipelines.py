@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import sys
 import tracemalloc
@@ -43,6 +45,7 @@ from edulearn.pipelines import (
     StyleLabel,
     StyleSession,
     academic_bayes_predict,
+    academic_csv_columns,
     academic_csv_rows,
     academic_schema,
     aggregate_sessions,
@@ -187,14 +190,12 @@ def test_build_style_dataset_shape():
 
 
 def test_style_csv_round_trip_matches_direct(tmp_path):
-    from edulearn.cli import _csv_text
-
     cfg = StyleGenConfig(n_students=8, sessions_per_student=2, seed=21)
     pairs = generate_style_sessions(cfg)
     columns = style_session_columns(pairs)
     path = tmp_path / "style.csv"
-    rows = zip(*(map(str, column) for column in columns.values()))
-    path.write_text(_csv_text([list(columns), *rows]), encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([list(columns), *zip(*columns.values())])
     loaded = collapse_score_columns(load_csv(path, style_schema()))
     direct = build_style_dataset(pairs)
     assert loaded.feature_names == direct.feature_names
@@ -277,13 +278,15 @@ def test_academic_synthetic_minimum_rows():
         generate_academic_synthetic(5, seed=0)
 
 
-def test_academic_csv_round_trip_matches_direct(tmp_path):
-    from edulearn.cli import _csv_text
+def _academic_csv_text(n_rows: int, seed: int) -> str:
+    """The data.csv text that `generate --kind academic` writes."""
+    return "".join(data_mod.csv_pieces(*academic_csv_columns(n_rows, seed)))
 
+
+def test_academic_csv_round_trip_matches_direct(tmp_path):
     for n_rows in (200, 20_000):  # 20,000 rows cross load_csv's chunk boundaries
-        header, rows = academic_csv_rows(n_rows, seed=31)
         path = tmp_path / "academic.csv"
-        path.write_text(_csv_text([header, *rows]), encoding="utf-8")
+        path.write_text(_academic_csv_text(n_rows, seed=31), encoding="utf-8")
         loaded = load_csv(path, academic_schema())
         direct = generate_academic_synthetic(n_rows, seed=31)
         assert loaded.feature_names == direct.feature_names
@@ -293,24 +296,26 @@ def test_academic_csv_round_trip_matches_direct(tmp_path):
         assert np.array_equal(loaded.targets, direct.targets)
 
 
-# sha256 of the CSV text of academic_csv_rows(20_000, 31), as the generator
-# that drew each category by name wrote it: a change to the random stream
-# (the draws, their order or their mapping to names) changes it
+# sha256 of the CSV text of 20,000 academic rows at seed 31, as the
+# generator that drew each category by name wrote it: a change to the
+# random stream (the draws, their order or their mapping to names) changes it
 _ACADEMIC_CSV_SHA256 = "f44c2f2ce745ca673413fb45dfa7ab7fc15ae7ba0fd1f33d23d65cc9f248a1ad"
 
 
 def test_academic_csv_text_is_pinned():
-    from edulearn.cli import _csv_text
-
-    header, rows = academic_csv_rows(20_000, seed=31)
-    text = _csv_text([header, *rows])
+    text = _academic_csv_text(20_000, seed=31)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _ACADEMIC_CSV_SHA256
+    # academic_csv_rows is a view of the same cells, row by row
+    header, rows = academic_csv_rows(20_000, seed=31)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert buf.getvalue() == text
 
 
 def test_academic_csv_rows_do_not_depend_on_the_block_size(monkeypatch):
     header, rows = academic_csv_rows(50, seed=3)
     whole = list(rows)
-    monkeypatch.setattr(pipelines, "_CSV_ROWS", 7)
+    monkeypatch.setattr(data_mod, "CSV_BLOCK_ROWS", 7)
     header_b, rows_b = academic_csv_rows(50, seed=3)
     assert header_b == header
     assert list(rows_b) == whole
@@ -401,11 +406,10 @@ def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypa
     # of it at 2.26. The load's own peak, one chunk of text and cells, is
     # 2.2 at this size, whatever the matrix does, so the peak is reset when
     # load_csv returns.
-    from edulearn.cli import _csv_text, main
+    from edulearn.cli import main
 
     monkeypatch.chdir(tmp_path)
-    header, rows = academic_csv_rows(_ROWS, seed=0)
-    (tmp_path / "a.csv").write_text(_csv_text([header, *rows]), encoding="utf-8")
+    (tmp_path / "a.csv").write_text(_academic_csv_text(_ROWS, seed=0), encoding="utf-8")
     (tmp_path / "a.schema.json").write_text(json.dumps(schema_to_doc(academic_schema())))
     assert main(["train", "--task", "academic", "--input", "a.csv", "--schema", "a.schema.json",
                  "--max-iter", "5", "--json", "--out", "m_"]) == 0
@@ -431,12 +435,8 @@ def test_load_csv_peak_above_its_table_is_one_chunk_of_records(tmp_path):
     # lines and text, its numpy record block and the one before it. At these
     # 20,000 rows it measured 13.7 MB; reading the numbers and the label
     # cells in two reads, with a str object per label cell, 17.4 MB
-    from edulearn.cli import _csv_text
-
-    header, rows = academic_csv_rows(_ROWS, seed=0)
     path = tmp_path / "a.csv"
-    path.write_text(_csv_text([header, *rows]), encoding="utf-8")
-    del rows
+    path.write_text(_academic_csv_text(_ROWS, seed=0), encoding="utf-8")
     schema = academic_schema()
     data_mod.load_csv(path, schema)  # takes the one-time costs out
     tracemalloc.start()
@@ -605,11 +605,10 @@ def test_run_academic_case_study_synthetic():
 
 
 def test_run_academic_case_study_external_csv(tmp_path):
-    header, rows = academic_csv_rows(300, seed=5)
-    from edulearn.cli import _csv_text, dumps_canonical
+    from edulearn.cli import dumps_canonical
 
     csv_path = tmp_path / "a.csv"
-    csv_path.write_text(_csv_text([header, *rows]), encoding="utf-8")
+    csv_path.write_text(_academic_csv_text(300, seed=5), encoding="utf-8")
     schema_path = tmp_path / "a.schema.json"
     schema_path.write_text(dumps_canonical(schema_to_doc(academic_schema())) + "\n")
     report = _fit_academic(

@@ -231,3 +231,35 @@ def test_lasso_non_convergence_flagged():
 def test_lasso_rejects_bad_lambda():
     with pytest.raises(ParameterError):
         fit_lasso([[1.0]], [1.0], -0.1)
+
+
+def test_lasso_objective_increase_is_a_named_error(monkeypatch):
+    # a coordinate step past its minimizer raises the objective; the fit
+    # stops with a DegenerateDataError, also where `python -O` runs it
+    from edulearn import regress
+
+    monkeypatch.setattr(regress, "_soft_threshold", lambda value, threshold: value + 1.0)
+    with pytest.raises(DegenerateDataError, match="objective went from"):
+        fit_lasso([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], 0.1)
+
+
+_FITS = {
+    "fit_simple": lambda x, y: fit_simple([row[0] for row in x], y),
+    "fit_multiple": fit_multiple,
+    "fit_ridge": lambda x, y: fit_ridge(x, y, 0.1),
+    "fit_lasso": lambda x, y: fit_lasso(x, y, 0.1),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("fit", sorted(_FITS))
+def test_fits_reject_non_finite_input_naming_it(fit, where, value):
+    x = [[1.0, 0.5], [2.0, -1.0], [3.0, 2.0], [4.0, 0.0]]
+    y = [1.0, 2.0, 3.0, 5.0]
+    if where == "x":
+        x[1][0] = value
+    else:
+        y[2] = value
+    with pytest.raises(ParameterError, match=f"^{fit}: {where} must be finite$"):
+        _FITS[fit](x, y)

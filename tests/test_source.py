@@ -52,3 +52,15 @@ def test_no_module_reads_another_modules_private_names():
             and n.value.id in modules and _private(n.attr)
         ]
     assert reads == []
+
+
+def test_no_assert_statement():
+    """edulearn checks with explicit raises: `python -O` strips every
+    assert statement, and with it the check."""
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
