@@ -108,6 +108,28 @@ def _csv_tables(draw):
     ]
 
 
+@st.composite
+def _string_rows(draw):
+    """Rows of two to four strings, all of one width: the rows the writer
+    takes as a header and columns of csv_cells text."""
+    width = draw(st.integers(2, 4))
+    return draw(st.lists(st.lists(_csv_cell, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+
+
+@given(_string_rows())
+@example([["row", "p_a"], ["0", "0.5"]])
+@example([["drop, early", 'say "hi"'], ["", ""], ["a\nb", "c\rd"]])
+def test_csv_text_is_what_csv_writer_writes(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    header, *body = rows
+    columns = [data_mod.csv_cells(c) for c in zip(*body)] if body else [
+        data_mod.csv_cells([]) for _ in header
+    ]
+    assert "".join(data_mod.csv_pieces(header, columns)) == buf.getvalue()
+
+
 @given(_csv_tables(), st.integers(1, 4))
 @example(([["row", "p_a"], ["0", "0.5"], ["1", "a,b"], ["2", "0.25"]], ["row", "p_a"],
           [np.arange(3), data_mod.csv_cells(["0.5", "a,b", "0.25"])]), 2)
