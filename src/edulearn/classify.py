@@ -54,7 +54,7 @@ _MAX_HALVINGS = 50
 _CURVATURE_TOL = 1e-12
 _LBFGS_MEMORY = 10  # curvature pairs fit_lbfgs keeps; Nocedal & Wright (7.2) suggest 3 to 20
 
-# rows per block of an SGD epoch (_sgd_epoch_blocked). The walk inside a
+# rows per block of an SGD epoch without l1 (_sgd_epoch). The walk inside a
 # block costs O(B) per row, against a fixed number of numpy calls per block.
 # A 3-class, 3,500 x 61, 100-epoch fit took 1.45, 1.28, 1.22, 1.23, 1.29 and
 # 1.35 s (medians of 5, 2-vCPU Xeon) at B = 8, 12, 16, 20, 24 and 32; B sets the last bits.
@@ -288,7 +288,7 @@ def _target_terms(xt: np.ndarray, y: np.ndarray, k: int):
     blocks of ``xt``: a BLAS product, as accurate as the gradient's own
     P x. A bincount's running sum was ~30 times less accurate, and as a
     fixed error in every gradient it moved the GD weights at 76,519 rows by
-    1e-11 of the largest weight over 674 unit steps.
+    1e-11 of the largest weight, measured when GD took 674 unit steps.
     """
     classes = np.arange(k)[:, None]
     target_sums = np.zeros((k, xt.shape[0]))
@@ -504,9 +504,10 @@ def fit_lbfgs(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     return _unpack_model(theta, xm.shape[1], k, names, *state)
 
 
-def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay) -> None:
+def _sgd_epoch(xm, targets, order, w, b, lr, powers, decay, shrink) -> None:
     """One epoch of per-sample SGD over the rows in ``order``, updating the
-    weights ``w`` (m x d) and intercepts ``b`` (m) in place.
+    weights ``w`` (m x d) and intercepts ``b`` (m) in place. Each block's
+    rows are gathered C-ordered, so ``xm`` may be in either memory order.
 
     Each block of B rows starts from W0, b0 and applies B per-sample steps
     ``W <- c W - lr delta_j x_j``, ``b <- b - lr delta_j``, with c = 1 - lr*l2
@@ -523,10 +524,14 @@ def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay) -> None:
     study's, take an unrolled walk with the logits in locals and the same
     arithmetic in the same order. That gives the same bits as long as ``sum``
     adds floats left to right, as it does up to Python 3.11.
+
+    B is len(decay). A positive ``shrink`` (lr*l1) soft-thresholds the
+    weights after each block. The threshold is not linear in the weights, so
+    it is the per-sample one only at B = 1, which fit_sgd takes with l1.
     """
-    m = len(b)
-    for start in range(0, len(order), _SGD_BLOCK):
-        rows = order[start : start + _SGD_BLOCK]
+    m, block = len(b), len(decay)
+    for start in range(0, len(order), block):
+        rows = order[start : start + block]
         nb = len(rows)
         xb = xm[rows]
         logits = ((xb @ w.T) * powers[:nb, None] + b).tolist()
@@ -566,59 +571,19 @@ def _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay) -> None:
         w *= powers[nb]
         w -= (lr * deltas * powers[nb - 1 :: -1]) @ xb
         b -= lr * deltas.sum(axis=1)
-
-
-def _sgd_epoch_l1(xm, targets, order, w, b, lr, l1, l2) -> None:
-    """One epoch of per-sample SGD with the l1 soft threshold after every
-    step, one row at a time, updating ``w`` (m x d) and ``b`` (m) in place.
-
-    The threshold is not linear in the weights, so these steps cannot be
-    regrouped into blocks as _sgd_epoch_blocked does. One row loop for both
-    model shapes, calling a residual function per row, was ~45% slower per
-    binary update than this scalar one.
-    """
-    if len(b) == 1:
-        wv, bv = w[0].copy(), float(b[0])
-        buf = np.empty(w.shape[1])
-        for i in order:
-            xi = xm[i]
-            gs = _sigmoid_scalar(float(wv @ xi) + bv) - targets[i]
-            if l2 > 0.0:
-                wv *= 1.0 - lr * l2  # the l2 part of the per-sample gradient
-            np.multiply(xi, lr * gs, out=buf)
-            wv -= buf
-            bv -= lr * gs
-            wv = np.sign(wv) * np.maximum(np.abs(wv) - lr * l1, 0.0)
-        w[0], b[0] = wv, bv
-        return
-    delta = np.empty(len(b))
-    buf = np.empty(w.shape)
-    for i in order:
-        xi = xm[i]
-        np.matmul(w, xi, out=delta)
-        delta += b
-        delta -= delta.max()
-        np.exp(delta, out=delta)
-        delta /= delta.sum()
-        delta[targets[i]] -= 1.0
-        delta *= lr
-        if l2 > 0.0:
-            w *= 1.0 - lr * l2
-        np.multiply(delta[:, None], xi, out=buf)
-        w -= buf
-        b -= delta
-        np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - lr * l1, 0.0))
+        if shrink:
+            np.copyto(w, np.sign(w) * np.maximum(np.abs(w) - shrink, 0.0))
 
 
 def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     """Per-sample SGD: constant rate, seeded reshuffle each epoch, exactly
     cfg.epochs epochs, l2 added per sample and l1 via per-step soft threshold.
 
-    Without l1 the per-sample steps are computed a block of rows at a time
-    (see _sgd_epoch_blocked); the result is the per-sample one up to rounding.
+    The per-sample steps are computed _SGD_BLOCK rows at a time, or one row
+    at a time with l1 (see _sgd_epoch); the result is the per-sample one up
+    to rounding. ``x`` is read in the layout it is given, without a copy.
     """
     xm, yi, names, k, objective, n_params = _fit_inputs("sgd", x, y, cfg, class_names)
-    xm = np.ascontiguousarray(xm)  # the per-row steps read rows
     n, d = xm.shape
     lr = cfg.learning_rate
     c = 1.0 - lr * cfg.l2  # the l2 part of each per-sample step shrinks the weights by c
@@ -630,18 +595,16 @@ def fit_sgd(x, y, cfg: OptimizerConfig, class_names=None) -> LogisticModel:
     theta = np.zeros(n_params)
     loss_path: list[float] = []
 
+    block = 1 if cfg.l1 > 0.0 else _SGD_BLOCK
     # a diverging run overflows before the per-epoch loss check catches it;
     # silence the transient warnings and rely on that check
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = c ** np.arange(_SGD_BLOCK + 1)
-        lag = np.arange(_SGD_BLOCK)[:, None] - np.arange(_SGD_BLOCK) - 1
+        powers = c ** np.arange(block + 1)
+        lag = np.arange(block)[:, None] - np.arange(block) - 1
         decay = powers[np.maximum(lag, 0)]  # decay[j, i] = c**(j-1-i) for i < j
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
-            if cfg.l1 > 0.0:
-                _sgd_epoch_l1(xm, targets, order, w, b, lr, cfg.l1, cfg.l2)
-            else:
-                _sgd_epoch_blocked(xm, targets, order, w, b, lr, powers, decay)
+            _sgd_epoch(xm, targets, order, w, b, lr, powers, decay, lr * cfg.l1)
             theta = np.concatenate([w.ravel(), b])
             value, _ = objective(theta)
             if not math.isfinite(value):

@@ -372,9 +372,8 @@ def fit_dataset(
     Ownership: pass the last reference to ``ds`` (no variable of the
     caller's holding it) and its table is freed once the train matrix and
     the test table are gathered. The fit then peaks at 1.29 one-hot
-    matrices of all rows on the academic set, or 1.59 with sgd, whose
-    trainer reads a row-major copy of the train rows. A caller that keeps a
-    reference keeps the table alive, unchanged.
+    matrices of all rows on the academic set, with every solver. A caller
+    that keeps a reference keeps the table alive, unchanged.
     """
     class_names, feature_names, columns = ds.class_names, ds.feature_names, ds.columns
     train_rows, test_rows = data_mod.split_indices(ds.n_rows, split_spec)

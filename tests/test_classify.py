@@ -416,7 +416,8 @@ def test_fit_sgd_matches_per_sample_reference_on_drawn_problems(problem):
     _assert_matches_reference(*problem)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+# with l1 the walk takes one-row blocks: binary, three-class and generic
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_fit_sgd_l1_matches_per_sample_reference(k):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2 * _SGD_BLOCK + 5, 5))
@@ -437,16 +438,19 @@ def test_fit_sgd_zero_epochs_gives_zero_weights(k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_fit_sgd_overflow_is_divergence_at_epoch_1_without_warnings(k):
-    # c = 1 - lr*l2 = -5e200: its powers overflow as soon as they are built
+    # c = 1 - lr*l2 = -5e200: without l1 its powers overflow as soon as they
+    # are built; with l1 (one-row blocks) the weights overflow within a few
+    # rows, and the soft threshold reads them
     rng = np.random.default_rng(6)
     x = rng.normal(size=(20, 2))
     y = np.arange(20) % k
-    cfg = OptimizerConfig(solver="sgd", learning_rate=1e200, l2=5.0, epochs=50, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="epoch 1 ") as excinfo:
-            fit_sgd(x, y, cfg)
-    assert excinfo.value.epoch == 1
+    for l1 in (0.0, 0.05):
+        cfg = OptimizerConfig(solver="sgd", learning_rate=1e200, l2=5.0, l1=l1, epochs=50, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="epoch 1 ") as excinfo:
+                fit_sgd(x, y, cfg)
+        assert excinfo.value.epoch == 1
 
 
 def test_fit_sgd_multinomial_runs():
