@@ -30,7 +30,7 @@ import json
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
     SchemaError,
     SplitError,
 )
-from .numcore import as_matrix, as_vector, frozen
+from .numcore import as_matrix, as_vector, frozen, own_pages
 
 SCHEMA_VERSION = 1
 COLUMN_KINDS = ("numeric", "categorical", "target", "skip")
@@ -72,7 +72,6 @@ __all__ = [
     "fit_scaler",
     "transform",
     "standardize",
-    "inverse_transform",
 ]
 
 
@@ -366,28 +365,36 @@ def _encoded(columns: list[ColumnSchema], values: dict, index: dict) -> Dataset:
     )
 
 
-def assemble(ds: Dataset, rows=None, feature_major: bool = False) -> np.ndarray:
+def assemble(ds: Dataset, rows=None, feature_major: bool = False, features=None) -> np.ndarray:
     """The one-hot feature matrix of ``ds``'s rows ``rows`` (all of them when
     None), in that order: an n x d float64 matrix, or with ``feature_major``
     its d x n transpose, C-ordered either way. Its columns follow
     ``ds.features``; each categorical expands in place into one indicator
     column per category, in category order. The matrix is new and writable,
     so its caller can scale it in place.
+
+    ``features``, a dict that the caller hands over, stands in for
+    ``ds.features``: the same columns, of any length, which ``rows`` selects
+    from, while ``ds`` gives only the layout. The dict is emptied as the
+    matrix fills, numeric columns first (each frees more than its row of the
+    matrix takes), so a column of which it held the last reference is freed
+    once its rows are in.
     """
     categories = _categories(ds.columns)
-    n = ds.n_rows if rows is None else len(rows)
-    width = sum(len(categories[name]) if name in categories else 1 for name in ds.features)
-    out = np.zeros((width, n) if feature_major else (n, width))
-    by_feature, cells, j = out if feature_major else out.T, np.arange(n), 0
-    for name, values in ds.features.items():
+    widths = [len(categories[name]) if name in categories else 1 for name in ds.features]
+    starts = dict(zip(ds.features, accumulate(widths, initial=0)))
+    features = dict(ds.features) if features is None else features
+    n = len(next(iter(features.values()))) if rows is None else len(rows)
+    out = np.zeros((sum(widths), n) if feature_major else (n, sum(widths)))
+    by_feature, cells = out if feature_major else out.T, np.arange(n)
+    for name in sorted(starts, key=categories.__contains__):  # numeric columns first
+        values, j = features.pop(name), starts[name]
         if rows is not None:
             values = values[rows]
         if name in categories:
             by_feature[np.add(values, j, dtype=np.intp), cells] = 1.0
-            j += len(categories[name])
         else:
             by_feature[j] = values
-            j += 1
     return out
 
 
@@ -517,7 +524,11 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
     numpy's reader meets a row of the wrong width or rejects a number, or
     which holds a number that is not finite or a label outside
     allowed_values, is split by csv.reader and read per cell instead, which
-    names the fault and loads every number float() accepts.
+    names the fault and loads every number float() accepts. A chunk's text
+    and records are freed before the next chunk is read, and its numbers
+    and codes are copied into pages of their own, as each whole column is
+    at the end (numcore.own_pages): the table never lands in malloc's heap,
+    so dropping it gives its memory back at once.
 
     Text that is not UTF-8 or that csv.reader rejects (say a cell over its
     field size limit) is a ParseError naming the line, and every error
@@ -563,11 +574,6 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
                 lookup[c.name] = allowed[order], order.astype(_code_type(len(order)))
         n_rows, where = 0, f"{path}: "
         while lines := _read_lines(fh, CHUNK_ROWS, path):
-            # text, block and rows are held until a later chunk rebinds them:
-            # freed at once, text raised the predict peak on the 76,519-row
-            # academic CSV by ~7 MB, block the train peak on it from 88-95 to
-            # 96.5-98 MB, and rows the load's peak on it with three quoted
-            # cells by ~15 MB (glibc malloc placement)
             text = "".join(lines)
             # numpy's reader drops a string cell's trailing NULs, skips a blank
             # line with a warning, and has no field size limit (csv.reader's)
@@ -588,8 +594,8 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
                     )
                     for c in read:
                         cells = block[f"f{position[c.name]}"]
-                        if c.kind == "numeric":  # a copy, so no chunk's block outlives it
-                            cells = chunk[c.name] = cells.copy()
+                        if c.kind == "numeric":
+                            chunk[c.name] = cells
                             if not np.isfinite(cells).all():
                                 raise ValueError
                         elif c.name in lookup:
@@ -614,12 +620,20 @@ def load_csv(path, columns: list[ColumnSchema], require_target: bool = True) -> 
                         chunk[c.name] = _parse_numeric(cells, c.name, path, n_rows)
                     else:
                         chunk[c.name] = _category_codes(c, cells, index[c.name], n_rows, where)
-            for name, cells in chunk.items():
-                parts[name].append(cells)
+            for name, cells in chunk.items():  # copied, so no chunk's block outlives it
+                parts[name].append(own_pages(cells))
             line_no, n_rows = line_no + n_lines, n_rows + (len(rows) if per_cell else n_lines)
+            # the chunk's text and records (cells can be a view of its block)
+            # go before the next chunk is read: one chunk's are held at a time
+            lines = text = block = rows = flat = chunk = cells = None
     # each chunk's codes are as narrow as its column's categories then were,
-    # so the concatenation is as narrow as they are at the end
-    values = {c.name: np.concatenate(parts.pop(c.name)) for c in read}
+    # so the concatenation is as narrow as they are at the end. Every chunk
+    # and column lives in pages of its own (numcore.own_pages), so none of
+    # them is left in malloc's heap; the targets join as the Dataset's int64
+    values = {}
+    for c in read:
+        dtype = np.int64 if c.kind == "target" else None
+        values[c.name] = own_pages(*parts.pop(c.name), dtype=dtype)
     return _encoded(columns, values, index)
 
 
@@ -754,21 +768,3 @@ def standardize(
             "is too large to standardize in float64"
         )
     return out
-
-
-def inverse_transform(params: ScalerParams, x) -> np.ndarray:
-    """Undo transform: value * std + mean columnwise."""
-    xm = as_matrix(x)
-    if xm.shape[1] != params.means.shape[0]:
-        raise DimensionError(
-            f"inverse_transform: {xm.shape[1]} columns but scaler was fit on {len(params.means)}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = xm * params.stds + params.means
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        raise DegenerateDataError(
-            f"inverse_transform: row {bad[0][0] + 1}, feature column {bad[0][1] + 1} "
-            "overflows float64"
-        )
-    return frozen(out)

@@ -5,19 +5,21 @@ made read-only by ``frozen``: float64, but for a Dataset's category codes
 and targets, which are integers. The exception is ``data.assemble``'s
 one-hot matrix, which is new and writable so that its caller scales it in
 place. The shape checks check only the number of dimensions: finiteness is
-checked where values enter the program.
+checked where values enter the program. ``own_pages`` puts an array in
+memory that goes back to the system as soon as the array is dropped.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, SingularMatrixError
 
-__all__ = ["frozen", "as_vector", "as_matrix", "solve_spd"]
+__all__ = ["frozen", "own_pages", "as_vector", "as_matrix", "solve_spd"]
 
 
 def frozen(arr, dtype=np.float64) -> np.ndarray:
@@ -26,6 +28,20 @@ def frozen(arr, dtype=np.float64) -> np.ndarray:
     view = np.ascontiguousarray(arr, dtype=dtype).view()
     view.setflags(write=False)
     return view
+
+
+def own_pages(*pieces, dtype=None) -> np.ndarray:
+    """The 1-D arrays ``pieces`` joined end to end, as a writable array of
+    ``dtype`` (by default their common type) in a private anonymous memory
+    mapping of its own. Dropping the last array over it unmaps it, so its
+    pages leave the process's resident set at once, where a freed block of
+    malloc's heap can stay resident."""
+    dtype = np.result_type(*pieces) if dtype is None else np.dtype(dtype)
+    n = sum(map(len, pieces))
+    # a mapping cannot be empty; ACCESS_COPY maps private pages, which the
+    # kernel merges with their neighbours, not a shared file per array
+    pages = mmap.mmap(-1, max(n * dtype.itemsize, 1), access=mmap.ACCESS_COPY)
+    return np.concatenate(pieces, out=np.frombuffer(pages, dtype, n))
 
 
 def as_vector(x) -> np.ndarray:

@@ -22,13 +22,11 @@ from .numcore import as_matrix, as_vector, frozen, solve_spd
 
 __all__ = [
     "LinearModel",
-    "FitStat",
     "fit_simple",
     "fit_multiple",
     "polynomial_features",
     "lsr_objective",
     "r_squared",
-    "fit_stat",
     "fit_ridge",
     "fit_lasso",
 ]
@@ -72,18 +70,6 @@ class LinearModel:
         if xm.shape[1] != d:
             raise DimensionError(f"model has {d} coefficients but input has {xm.shape[1]} columns")
         return self.intercept + xm @ self.coefficients
-
-
-@dataclass(frozen=True)
-class FitStat:
-    """Residual sum of squares and coefficient of determination."""
-
-    lsr: float
-    r_squared: float
-
-    def __post_init__(self):
-        if self.lsr < 0:
-            raise ParameterError("lsr must be non-negative")
 
 
 def fit_simple(x, y) -> LinearModel:
@@ -146,10 +132,6 @@ def r_squared(model: LinearModel, x, y) -> float:
     if sst < _DEGENERATE_TOL:
         raise DegenerateDataError("r_squared: target is constant")
     return 1.0 - lsr_objective(model, x, y) / sst
-
-
-def fit_stat(model: LinearModel, x, y) -> FitStat:
-    return FitStat(lsr=lsr_objective(model, x, y), r_squared=r_squared(model, x, y))
 
 
 def fit_ridge(x, y, lam: float) -> LinearModel:

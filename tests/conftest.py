@@ -4,11 +4,22 @@ process, and the report-schema check every test gets."""
 import functools
 import json
 import os
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+
+# When a Hypothesis test fails, Hypothesis's pytest plugin imports this
+# module to write a patch of the failing example. It imports libcst, which
+# raises a DeprecationWarning; under pyproject.toml's error::DeprecationWarning
+# filter that ends the session with an INTERNALERROR, and no later test runs.
+# Imported once here, with that warning ignored, the module is cached, and a
+# DeprecationWarning raised by edulearn itself stays an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 

@@ -12,7 +12,7 @@ from edulearn.classify import (
     predict_proba,
     softmax_loss_grad,
 )
-from edulearn.data import SplitSpec, assemble, inverse_transform, split, transform
+from edulearn.data import SplitSpec, assemble, split, transform
 from edulearn.regress import (
     LinearModel,
     fit_lasso,
@@ -53,7 +53,6 @@ def test_datasets_and_bundles_hold_read_only_arrays(task, solver):
         *_bundle_arrays(bundle),
         *_bundle_arrays(loaded),
         x,
-        inverse_transform(bundle.scaler, x),
         predict_proba(bundle.model, x),
     ):
         _assert_read_only(arr)

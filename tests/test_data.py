@@ -19,7 +19,6 @@ from edulearn.data import (
     assemble,
     encode_columns,
     fit_scaler,
-    inverse_transform,
     load_csv,
     read_schema,
     schema_to_doc,
@@ -785,22 +784,6 @@ def test_transform_identity_params():
     params = ScalerParams(means=np.array([0.0, 0.0]), stds=np.array([1.0, 1.0]))
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(transform(params, x), x)
-
-
-def test_scaler_round_trip():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(50, 3)) * 10 + 7
-    params = fit_scaler(x)
-    back = inverse_transform(params, transform(params, x))
-    assert np.max(np.abs(back - x)) <= 1e-10
-
-
-def test_inverse_transform_overflow_is_degenerate_data():
-    params = ScalerParams(means=np.array([0.0, 1e308]), stds=np.array([1.0, 1e300]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegenerateDataError, match="row 2, feature column 2"):
-            inverse_transform(params, [[1.0, 0.0], [0.0, 1e10]])
 
 
 def test_one_hot_rows_sum_to_one(tmp_path):

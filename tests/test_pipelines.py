@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -323,22 +324,23 @@ def test_academic_csv_rows_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_generate_formats_the_csv_in_blocks_not_in_rows(tmp_path, monkeypatch):
-    # the traced peak of an academic `generate` above its sampled columns
-    # (the peak is reset once they are drawn) is one block of cell strings,
-    # tuples and text: measured 3.7 MB at 4,096 rows and 3.1 MB at 32,768 in
+    # the traced peak of an academic `generate` above its columns (the peak
+    # is reset once academic_csv_columns returns them, each label column as
+    # one cell pointer per row) is one block of cell strings, tuples and
+    # text: measured 1.85 MB at 4,096 rows and 1.88 MB at 32,768 in
     # blocks of 1,024 rows; in blocks of 8,192 it was 9.9 and 29.7 MB
     from edulearn.cli import main
 
     monkeypatch.chdir(tmp_path)
-    sample = pipelines._academic_sample
+    columns = pipelines.academic_csv_columns
 
-    def sample_then_reset_peak(*args):
-        drawn = sample(*args)
+    def columns_then_reset_peak(*args):
+        drawn = columns(*args)
         tracemalloc.reset_peak()
         held.append(tracemalloc.get_traced_memory()[0])
         return drawn
 
-    monkeypatch.setattr(pipelines, "_academic_sample", sample_then_reset_peak)
+    monkeypatch.setattr(pipelines, "academic_csv_columns", columns_then_reset_peak)
     overhead = {}
     for n in (100, 4096, 32768):  # the first takes the one-time costs out
         held = []
@@ -372,9 +374,11 @@ def test_generate_academic_synthetic_peak_is_under_1_25_matrices():
 
 
 # traced peak of fit_dataset in one-hot matrices of all rows, measured plus
-# ~10%: the table, the train matrix and the test rows' table (1.29), with
-# every solver. sgd peaked at 1.59 while fit_sgd read a row-major copy
-_FIT_PEAK = 1.42
+# ~10%: the train matrix, the test rows' table and the solver's arrays (1.09
+# with gd, 1.02 with lbfgs and sgd). tracemalloc does not see the table's
+# columns, each in pages of its own; traced in malloc's heap they made it
+# 1.37 and 1.29, and sgd peaked at 1.59 while fit_sgd read a row-major copy
+_FIT_PEAK = 1.2
 
 
 @pytest.mark.skipif(
@@ -431,22 +435,48 @@ def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypa
 
 
 def test_load_csv_peak_above_its_table_is_one_chunk_of_records(tmp_path):
-    # the traced peak of load_csv less the table it returns: one chunk's
-    # lines and text, its numpy record block and the one before it. At these
-    # 20,000 rows it measured 13.7 MB; reading the numbers and the label
-    # cells in two reads, with a str object per label cell, 17.4 MB
+    # the traced peak of load_csv, which does not count the table it
+    # returns (each chunk and column of it lives in pages of its own): one
+    # chunk's lines and text and its numpy record block. At these 20,000
+    # rows it measured 11.6 MB. Holding each chunk's text and block until
+    # the next replaced them, it traced 13.7 MB above the table; reading the
+    # numbers and the label cells in two reads, with a str object per label
+    # cell, 17.4 MB
     path = tmp_path / "a.csv"
     path.write_text(_academic_csv_text(_ROWS, seed=0), encoding="utf-8")
     schema = academic_schema()
     data_mod.load_csv(path, schema)  # takes the one-time costs out
     tracemalloc.start()
     try:
-        ds = data_mod.load_csv(path, schema)
+        data_mod.load_csv(path, schema)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(v.nbytes for v in ds.features.values()) + ds.targets.nbytes
-    assert peak - held <= 15.5e6
+    assert peak <= 15.5e6
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("source", ["csv", "synthetic"])
+def test_a_dropped_table_gives_its_pages_back(tmp_path, source):
+    # the resident set falls by the table's bytes (4.22 MB here) as soon as
+    # its last reference goes. With its columns in malloc's heap the loaded
+    # table gave back none of them; the generated one gave them back only
+    # when glibc happened to trim its heap's top
+    if source == "csv":
+        path = tmp_path / "a.csv"
+        path.write_text(_academic_csv_text(_ROWS, seed=0), encoding="utf-8")
+        held = [data_mod.load_csv(path, academic_schema())]
+    else:
+        held = [generate_academic_synthetic(_ROWS, seed=0)]
+    table = sum(v.nbytes for v in held[0].features.values()) + held[0].targets.nbytes
+    before = _resident_bytes()
+    held.clear()
+    assert before - _resident_bytes() >= 0.9 * table
 
 
 def _scoring_bundle(n, k, numeric=3):

@@ -8,7 +8,6 @@ from edulearn.regress import (
     fit_multiple,
     fit_ridge,
     fit_simple,
-    fit_stat,
     lsr_objective,
     polynomial_features,
     r_squared,
@@ -126,14 +125,6 @@ def test_r_squared_constant_target():
     m = LinearModel(intercept=0.0, coefficients=np.array([1.0]))
     with pytest.raises(DegenerateDataError):
         r_squared(m, [[1.0], [2.0]], [4.0, 4.0])
-
-
-def test_fit_stat_fields():
-    x = np.array([[1.0], [2.0], [4.0]])
-    y = np.array([1.0, 2.0, 3.0])
-    stat = fit_stat(fit_simple(x[:, 0], y), x, y)
-    assert stat.lsr >= 0.0
-    assert stat.r_squared <= 1.0
 
 
 def test_ridge_zero_lambda_matches_ols():
