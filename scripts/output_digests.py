@@ -12,16 +12,32 @@ wrote: workload, command, file name and sha256. Outputs are byte-
 deterministic per seed on one host, so running the script on two
 checkouts on the same host and diffing the two outputs shows any change
 in what the commands write. It takes about 20 s on a 2-vCPU x86-64 host.
+
+Before the digests it prints one ``#`` line naming the two things on which
+the model and prediction bits depend: the core of the OpenBLAS that numpy
+bundles (``SkylakeX`` on an AVX-512 x86-64 host; ``unknown`` when numpy's
+``numpy.libs`` holds no ``libscipy_openblas64_`` library with
+``scipy_openblas_get_corename64_``), and the numpy dispatch targets in
+use, those of ``__cpu_dispatch__`` that ``__cpu_features__`` enables. Two
+digest files from different hosts then show why they differ.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x, which pyproject.toml admits
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -44,7 +60,20 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def openblas_core() -> str:
+    """The core name of the OpenBLAS bundled with numpy, or ``unknown``."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def main() -> None:
+    dispatch = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    print(f"# openblas core {openblas_core()}; numpy dispatch {' '.join(dispatch) or 'none'}",
+          flush=True)
     for name, cls in WORKLOADS.items():
         with tempfile.TemporaryDirectory(prefix="edulearn-digests-") as work:
             w = cls(SEED, FULL, Path(work), {})

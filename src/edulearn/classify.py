@@ -697,11 +697,11 @@ def compute_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         per_class.append(ClassMetrics(precision=precision, recall=recall, f1=f1))
 
-    macro = ClassMetrics(
-        precision=sum(m.precision for m in per_class) / n_classes,
-        recall=sum(m.recall for m in per_class) / n_classes,
-        f1=sum(m.f1 for m in per_class) / n_classes,
-    )
+    # added left to right on every Python: from 3.12 the builtin sum of floats compensates
+    p_sum = r_sum = f_sum = 0.0
+    for m in per_class:
+        p_sum, r_sum, f_sum = p_sum + m.precision, r_sum + m.recall, f_sum + m.f1
+    macro = ClassMetrics(p_sum / n_classes, r_sum / n_classes, f_sum / n_classes)
     return MetricsReport(
         accuracy=float(np.trace(confusion)) / yt.size,
         per_class=tuple(per_class),

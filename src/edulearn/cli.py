@@ -1,13 +1,14 @@
 """Command-line interface: synthetic data generation, training, and
 prediction with deterministic, machine-readable outputs.
 
-Output files are written atomically (temp file + rename). JSON is what
-``json.dumps`` writes. CSV is what ``csv.writer`` writes, built by
-``data.csv_pieces`` a block of columns at a time: each distinct string is
-quoted once, and each distinct number formatted once per block. So every
-float is its shortest round-tripping repr and a CSV cell is quoted where it
-needs to be; a rerun with the same flags and seed is byte-identical. Exit
-codes: 0 success, 1 runtime/data error, 2 usage/config error.
+A command's output files are written all or none (temp files, renamed
+once every one is written). JSON is what ``json.dumps`` writes. CSV is what
+``csv.writer`` writes, built by ``data.csv_pieces`` a block of columns at a
+time: each distinct string is quoted once, and each distinct number
+formatted once per block. So every float is its shortest round-tripping
+repr and a CSV cell is quoted where it needs to be; a rerun with the same
+flags and seed is byte-identical. Exit codes: 0 success, 1 runtime/data
+error, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -47,27 +48,35 @@ def dumps_canonical(value) -> str:
     return json.dumps(value, indent=2, allow_nan=False)
 
 
-def atomic_write_text(path: str, text) -> None:
-    """Write ``text``, or each piece of an iterable of text, via a temp file
-    in the target directory plus rename, so a failed write never leaves a
-    partial file behind."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+def atomic_write_text(outputs: dict) -> None:
+    """Write each ``path: text`` of ``outputs``, where text is a str or an
+    iterable of text pieces, via a temp file in the path's directory. The
+    temp files are renamed into place only once every one is written; on
+    any failure the temp files and the outputs already renamed are removed,
+    so a failed command leaves none of its outputs behind."""
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory or ".", prefix=".edulearn-")
+    temps, renamed = {}, []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp_path, path)
+        for path, text in outputs.items():
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            fd, temps[path] = tempfile.mkstemp(dir=directory or ".", prefix=".edulearn-")
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                # mkstemp creates the file 0600; give it the mode open() would
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.writelines([text] if isinstance(text, str) else text)
+        for path in outputs:
+            os.replace(temps[path], path)
+            renamed.append(path)
+            del temps[path]
     except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        for path in [*temps.values(), *renamed]:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
         raise
 
 
@@ -243,9 +252,10 @@ def cmd_generate(args, seed: int) -> int:
 
     csv_path = args.out + OUTPUT_DATA
     schema_path = args.out + OUTPUT_SCHEMA
-    atomic_write_text(csv_path, data_mod.csv_pieces(header, columns))
-    schema_text = dumps_canonical(data_mod.schema_to_doc(schema)) + "\n"
-    atomic_write_text(schema_path, schema_text)
+    atomic_write_text({
+        csv_path: data_mod.csv_pieces(header, columns),
+        schema_path: dumps_canonical(data_mod.schema_to_doc(schema)) + "\n",
+    })
     print(f"wrote {n} rows to {csv_path} (schema: {schema_path})")
     return 0
 
@@ -291,8 +301,10 @@ def cmd_train(args, seed: int) -> int:
     )
 
     doc = report_to_doc(report, args.task, bundle.model.class_names, args.train_fraction)
-    atomic_write_text(args.out + OUTPUT_REPORT, dumps_canonical(doc) + "\n")
-    atomic_write_text(args.out + OUTPUT_MODEL, dumps_canonical(model_to_doc(bundle, opt)) + "\n")
+    atomic_write_text({
+        args.out + OUTPUT_REPORT: dumps_canonical(doc) + "\n",
+        args.out + OUTPUT_MODEL: dumps_canonical(model_to_doc(bundle, opt)) + "\n",
+    })
     model = bundle.model
     if not model.converged:
         steps = "epochs" if opt.solver == "sgd" else "iterations"
@@ -316,7 +328,7 @@ def cmd_predict(args) -> int:
 
     header = ["row", "predicted_class"] + [f"p_{name}" for name in model.class_names]
     columns = [np.arange(len(names)), names, *proba.T]
-    atomic_write_text(args.out + OUTPUT_PREDICTIONS, data_mod.csv_pieces(header, columns))
+    atomic_write_text({args.out + OUTPUT_PREDICTIONS: data_mod.csv_pieces(header, columns)})
     print(f"wrote {len(names)} predictions to {args.out + OUTPUT_PREDICTIONS}")
     return 0
 

@@ -387,8 +387,9 @@ def fit_dataset(
     rows are scored. A caller that keeps a reference keeps its table alive
     and whole.
 
-    At 76,519 academic rows, `train --solver gd` peaks at 72.8 MB resident
-    on x86-64 Linux (83.0 MB with the table in malloc's heap). tracemalloc,
+    At 76,519 academic rows, `train --solver gd` peaks at its fit, at 69.1 MB
+    resident on x86-64 Linux (72.8 MB with the generator's draws in malloc's
+    heap, 83.0 MB with the table there too). tracemalloc,
     which does not see mapped pages, reads the fit's peak at 20,000 rows as
     1.09 one-hot matrices of all rows with gd and 1.02 with lbfgs and sgd:
     the train matrix, the test table and the solver's arrays.
@@ -527,48 +528,58 @@ def _academic_sample(n_rows: int, seed: int):
     n = n_rows
     s = rng.standard_normal(n)
 
+    # each column goes to pages of its own (numcore.own_pages) as it is
+    # drawn, so the draws' temporaries are all this leaves in malloc's heap
     num: dict[str, np.ndarray] = {}
-    num["age_at_enrollment"] = np.clip(np.round(rng.normal(21.0, 4.0, n)), 17, 55)
-    num["admission_grade"] = np.clip(
-        125.0 + 12.0 * (0.6 * s + 0.8 * rng.standard_normal(n)), 95.0, 190.0
+    num["age_at_enrollment"] = own_pages(np.clip(np.round(rng.normal(21.0, 4.0, n)), 17, 55))
+    num["admission_grade"] = own_pages(
+        np.clip(125.0 + 12.0 * (0.6 * s + 0.8 * rng.standard_normal(n)), 95.0, 190.0)
     )
-    num["prev_qualification_grade"] = np.clip(
-        120.0 + 14.0 * (0.5 * s + 0.9 * rng.standard_normal(n)), 95.0, 190.0
+    num["prev_qualification_grade"] = own_pages(
+        np.clip(120.0 + 14.0 * (0.5 * s + 0.9 * rng.standard_normal(n)), 95.0, 190.0)
     )
-    num["application_order"] = rng.integers(1, 7, n).astype(float)
+    num["application_order"] = own_pages(rng.integers(1, 7, n).astype(float))
     p_pass = np.clip(0.55 + 0.16 * s, 0.05, 0.98)
-    num["units_1st_enrolled"] = rng.integers(5, 9, n).astype(float)
-    num["units_1st_approved"] = rng.binomial(num["units_1st_enrolled"].astype(int), p_pass).astype(
-        float
+    num["units_1st_enrolled"] = own_pages(rng.integers(5, 9, n).astype(float))
+    num["units_1st_approved"] = own_pages(
+        rng.binomial(num["units_1st_enrolled"].astype(int), p_pass).astype(float)
     )
-    num["units_1st_grade"] = np.clip(11.0 + 2.2 * s + rng.normal(0.0, 1.5, n), 0.0, 20.0)
-    num["units_1st_evaluations"] = num["units_1st_enrolled"] + rng.poisson(2.0, n)
-    num["units_2nd_enrolled"] = rng.integers(5, 9, n).astype(float)
-    num["units_2nd_approved"] = rng.binomial(num["units_2nd_enrolled"].astype(int), p_pass).astype(
-        float
+    num["units_1st_grade"] = own_pages(
+        np.clip(11.0 + 2.2 * s + rng.normal(0.0, 1.5, n), 0.0, 20.0)
     )
-    num["units_2nd_grade"] = np.clip(11.0 + 2.2 * s + rng.normal(0.0, 1.5, n), 0.0, 20.0)
-    num["units_2nd_evaluations"] = num["units_2nd_enrolled"] + rng.poisson(2.0, n)
-    num["unemployment_rate"] = rng.choice([7.6, 8.9, 10.8, 12.4, 13.9, 16.2], n)
-    num["inflation_rate"] = rng.choice([-0.8, 0.3, 1.4, 2.6, 3.7], n)
-    num["gdp_growth"] = rng.choice([-4.06, -1.7, 0.32, 1.74, 3.51], n)
-    num["study_hours_weekly"] = np.clip(rng.normal(12.0 + 3.0 * s, 4.0), 0.0, 40.0)
-    num["absence_days"] = rng.poisson(np.clip(6.0 - 2.0 * s, 0.5, 15.0)).astype(float)
-    num["commute_minutes"] = rng.uniform(5.0, 90.0, n)
-    num["entrance_rank"] = rng.uniform(1.0, 1000.0, n)
-    num["credits_transferred"] = rng.poisson(0.8, n).astype(float)
-    num["library_visits"] = rng.poisson(np.clip(3.0 + s, 0.2, 10.0)).astype(float)
-    num["assignment_submission_rate"] = np.clip(
-        0.82 + 0.10 * s + 0.08 * rng.standard_normal(n), 0.0, 1.0
+    num["units_1st_evaluations"] = own_pages(num["units_1st_enrolled"] + rng.poisson(2.0, n))
+    num["units_2nd_enrolled"] = own_pages(rng.integers(5, 9, n).astype(float))
+    num["units_2nd_approved"] = own_pages(
+        rng.binomial(num["units_2nd_enrolled"].astype(int), p_pass).astype(float)
     )
-    num["attendance_rate"] = np.clip(0.85 + 0.08 * s + 0.07 * rng.standard_normal(n), 0.0, 1.0)
-    num["tutoring_sessions"] = rng.poisson(1.5, n).astype(float)
+    num["units_2nd_grade"] = own_pages(
+        np.clip(11.0 + 2.2 * s + rng.normal(0.0, 1.5, n), 0.0, 20.0)
+    )
+    num["units_2nd_evaluations"] = own_pages(num["units_2nd_enrolled"] + rng.poisson(2.0, n))
+    num["unemployment_rate"] = own_pages(rng.choice([7.6, 8.9, 10.8, 12.4, 13.9, 16.2], n))
+    num["inflation_rate"] = own_pages(rng.choice([-0.8, 0.3, 1.4, 2.6, 3.7], n))
+    num["gdp_growth"] = own_pages(rng.choice([-4.06, -1.7, 0.32, 1.74, 3.51], n))
+    num["study_hours_weekly"] = own_pages(np.clip(rng.normal(12.0 + 3.0 * s, 4.0), 0.0, 40.0))
+    num["absence_days"] = own_pages(
+        rng.poisson(np.clip(6.0 - 2.0 * s, 0.5, 15.0)).astype(float)
+    )
+    num["commute_minutes"] = own_pages(rng.uniform(5.0, 90.0, n))
+    num["entrance_rank"] = own_pages(rng.uniform(1.0, 1000.0, n))
+    num["credits_transferred"] = own_pages(rng.poisson(0.8, n).astype(float))
+    num["library_visits"] = own_pages(rng.poisson(np.clip(3.0 + s, 0.2, 10.0)).astype(float))
+    num["assignment_submission_rate"] = own_pages(
+        np.clip(0.82 + 0.10 * s + 0.08 * rng.standard_normal(n), 0.0, 1.0)
+    )
+    num["attendance_rate"] = own_pages(
+        np.clip(0.85 + 0.08 * s + 0.07 * rng.standard_normal(n), 0.0, 1.0)
+    )
+    num["tutoring_sessions"] = own_pages(rng.poisson(1.5, n).astype(float))
 
     # each categorical as the codes of its _CATEGORIES values: the draws
     # rng.choice makes over the value names themselves, as the Dataset's uint8
     cat: dict[str, np.ndarray] = {}
     for name, values in _CATEGORIES.items():
-        cat[name] = rng.choice(len(values), n, p=_CATEGORY_PROBS[name]).astype(np.uint8)
+        cat[name] = own_pages(rng.choice(len(values), n, p=_CATEGORY_PROBS[name]).astype(np.uint8))
 
     # planted ground-truth logits: affine in the observed columns
     u1 = (num["units_1st_approved"] - 3.5) / 2.0
@@ -618,10 +629,8 @@ def generate_academic_synthetic(n_rows: int, seed: int) -> Dataset:
     encoded table of the drawn columns and codes: the Dataset that load_csv
     reads from the CSV of academic_csv_rows with the same arguments."""
     num, cat, _, targets = _academic_sample(n_rows, seed)
-    # each column moves to pages of its own (numcore.own_pages) as its draw is freed
-    features = {
-        name: own_pages(num.pop(name) if name in num else cat.pop(name)) for name in _COLUMN_ORDER
-    }
+    # the columns were drawn into pages of their own; the targets move there
+    features = {name: (num if name in num else cat)[name] for name in _COLUMN_ORDER}
     return Dataset(features=features, targets=own_pages(targets), columns=academic_schema())
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -817,6 +818,30 @@ def test_compute_metrics_errors():
         compute_metrics([], [], 2)
     with pytest.raises(ParameterError):
         compute_metrics([0, 5], [0, 1], 2)
+
+
+def _compensated_sum(values, start=0):
+    """The builtin sum of floats from Python 3.12 on: Neumaier summation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_compute_metrics_macro_means_add_left_to_right_on_every_python():
+    # three per-class recalls whose compensated sum has other bits than the
+    # left-to-right one; with the builtin sum the macro recall followed it
+    y_true = [1, 2, 1, 0, 2, 2, 2, 0, 0, 2, 0, 1]
+    y_pred = [0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1]
+    plain = compute_metrics(y_true, y_pred, 3)
+    recalls = [m.recall for m in plain.per_class]
+    assert _compensated_sum(recalls) != recalls[0] + recalls[1] + recalls[2]
+    assert plain.macro.recall == (recalls[0] + recalls[1] + recalls[2]) / 3
+    with mock.patch.object(classify, "sum", _compensated_sum, create=True):
+        patched = compute_metrics(y_true, y_pred, 3)
+    assert patched.macro == plain.macro
 
 
 def test_optimizer_config_validation():

@@ -646,6 +646,20 @@ def test_out_prefix_under_a_file_exits_2_no_partial(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["somefile"]
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["train", "--task", "style", "--n", "20"], "model.json"),
+    (["generate", "--kind", "style", "--n", "5"], "schema.json"),
+], ids=["train", "generate"])
+def test_a_failed_output_leaves_none_of_the_command_outputs(tmp_path, argv, blocked):
+    # a directory where the command's second output goes: the first output,
+    # written before it, goes too, and so does every temp file
+    (tmp_path / f"z_{blocked}").mkdir()
+    r = run_cli([*argv, "--seed", "0", "--out", "z_"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == [f"z_{blocked}"]
+    assert list((tmp_path / f"z_{blocked}").iterdir()) == []
+
+
 def test_env_seed_fallback(tmp_path):
     r1 = run_cli(["generate", "--kind", "style", "--n", "5", "--out", "v_"], tmp_path,
                  env_extra={"EDULEARN_SEED": "9"})

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,6 +25,7 @@ from edulearn.data import (
     schema_to_doc,
     split,
     split_indices,
+    standardize,
     transform,
 )
 from edulearn.errors import (
@@ -784,6 +786,34 @@ def test_transform_identity_params():
     params = ScalerParams(means=np.array([0.0, 0.0]), stds=np.array([1.0, 1.0]))
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(transform(params, x), x)
+
+
+def test_standardize_in_place_traces_one_block_not_the_matrix():
+    # scaling the .T view of a feature-major matrix in place, as fit_dataset
+    # does: the finiteness check holds one CHUNK_ROWS block's mask (~0.03 of
+    # the matrix's bytes). Masking the whole matrix traced 0.125
+    xt = np.random.default_rng(5).normal(size=(61, 40_000))
+    scaler = fit_scaler(xt.T)
+    standardize(scaler, xt.T[:10], np.empty((10, 61)))  # takes the one-time costs out
+    tracemalloc.start()
+    try:
+        standardize(scaler, xt.T, xt.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * xt.nbytes
+
+
+def test_standardize_names_the_first_row_that_overflows():
+    # the first in row order, in a later block of the check, ahead of a
+    # value further down in an earlier column
+    n = 2 * data_mod.CHUNK_ROWS + 7
+    x = np.zeros((n, 4))
+    x[data_mod.CHUNK_ROWS + 5, 2] = x[data_mod.CHUNK_ROWS + 9, 0] = 1e308
+    params = ScalerParams(means=np.full(4, -1e308), stds=np.ones(4))
+    with pytest.raises(DegenerateDataError,
+                       match=rf"row {data_mod.CHUNK_ROWS + 6}, feature column 3 "):
+        standardize(params, x, x)
 
 
 def test_one_hot_rows_sum_to_one(tmp_path):

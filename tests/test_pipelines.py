@@ -328,7 +328,7 @@ def test_generate_formats_the_csv_in_blocks_not_in_rows(tmp_path, monkeypatch):
     # is reset once academic_csv_columns returns them, each label column as
     # one cell pointer per row) is one block of cell strings, tuples and
     # text: measured 1.85 MB at 4,096 rows and 1.88 MB at 32,768 in
-    # blocks of 1,024 rows; in blocks of 8,192 it was 9.9 and 29.7 MB
+    # blocks of 1,024 rows; in CSV blocks of 8,192 rows it was 9.9 and 29.7 MB
     from edulearn.cli import main
 
     monkeypatch.chdir(tmp_path)
@@ -358,19 +358,23 @@ _ROWS = 20_000
 _MATRIX_BYTES = _ROWS * 61 * 8
 
 
-def test_generate_academic_synthetic_peak_is_under_1_25_matrices():
-    # the category draws as codes, never as string arrays, into a table of
-    # float columns and one-byte codes with no one-hot matrix: 1.14 matrices.
-    # Assembling the one-hot matrix peaked at 1.75, and drawing the
-    # categories by name and encoding the strings at 2.52
+def test_generate_academic_synthetic_peak_is_under_1_2_tables():
+    # each numeric column and each category's codes go to pages of their own
+    # as they are drawn, so what tracemalloc sees is the draws' temporaries,
+    # the logits and the targets: 0.85 of the table's 4.06 MB here. Drawing
+    # into malloc's heap and copying each column into pages at the end
+    # traced 1.85 tables. With the table itself in the heap it traced 1.14
+    # one-hot matrices of all rows, and drawing the categories by name and
+    # encoding the strings 2.52
     tracemalloc.start()
     try:
         ds = generate_academic_synthetic(_ROWS, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(v.nbytes for v in ds.features.values()) == _ROWS * (24 * 8 + 11)
-    assert peak <= 1.25 * _MATRIX_BYTES
+    table = sum(v.nbytes for v in ds.features.values())
+    assert table == _ROWS * (24 * 8 + 11)
+    assert peak <= 1.2 * table
 
 
 # traced peak of fit_dataset in one-hot matrices of all rows, measured plus
@@ -405,7 +409,7 @@ def test_fit_dataset_on_the_last_reference_peaks_under_fit_peaks(solver):
 
 def test_cmd_predict_after_the_load_peaks_under_1_65_matrices(tmp_path, monkeypatch):
     # from the loaded table on, predict holds the table, the probabilities
-    # and one block of rows (11,808 here, the last one folded in), scaled in
+    # and one block of rows (7,712 here, the last one folded in), scaled in
     # place: 1.19. One matrix of all rows peaked at 1.46, and scaling a copy
     # of it at 2.26. The load's own peak, one chunk of text and cells, is
     # 2.2 at this size, whatever the matrix does, so the peak is reset when
@@ -438,10 +442,10 @@ def test_load_csv_peak_above_its_table_is_one_chunk_of_records(tmp_path):
     # the traced peak of load_csv, which does not count the table it
     # returns (each chunk and column of it lives in pages of its own): one
     # chunk's lines and text and its numpy record block. At these 20,000
-    # rows it measured 11.6 MB. Holding each chunk's text and block until
-    # the next replaced them, it traced 13.7 MB above the table; reading the
-    # numbers and the label cells in two reads, with a str object per label
-    # cell, 17.4 MB
+    # rows it measured 5.9 MB in 4,096-line chunks and 11.6 MB in 8,192-line
+    # ones. Holding each chunk's text and block until the next replaced
+    # them, it traced 13.7 MB above the table; reading the numbers and the
+    # label cells in two reads, with a str object per label cell, 17.4 MB
     path = tmp_path / "a.csv"
     path.write_text(_academic_csv_text(_ROWS, seed=0), encoding="utf-8")
     schema = academic_schema()
@@ -452,7 +456,7 @@ def test_load_csv_peak_above_its_table_is_one_chunk_of_records(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.5e6
+    assert peak <= 8.0e6
 
 
 def _resident_bytes() -> int:
@@ -503,9 +507,10 @@ _BLOCK = data_mod.CHUNK_ROWS
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n, blocks", [
-    (1, [1]), (409, [409]), (_BLOCK - 1, [_BLOCK - 1]), (_BLOCK, [_BLOCK]),
-    (_BLOCK + 1, [_BLOCK + 1]), (2 * _BLOCK - 1, [2 * _BLOCK - 1]),
-    (2 * _BLOCK, [_BLOCK, _BLOCK]), (2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]),
+    (1, [1]), (409, [409]), (2 * _BLOCK - 1, [2 * _BLOCK - 1]), (2 * _BLOCK, [_BLOCK, _BLOCK]),
+    (2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]), (4 * _BLOCK - 1, [_BLOCK, _BLOCK, 2 * _BLOCK - 1]),
+    (4 * _BLOCK, [_BLOCK] * 4), (4 * _BLOCK + 1, [_BLOCK] * 3 + [_BLOCK + 1]),
+    (_BLOCK - 1, [_BLOCK - 1]), (_BLOCK, [_BLOCK]), (_BLOCK + 1, [_BLOCK + 1]),
 ])
 def test_apply_in_blocks_scores_as_one_matrix(n, blocks, k):
     # a last block shorter than CHUNK_ROWS joins the one before it. The
@@ -538,11 +543,11 @@ def test_apply_names_an_overflowing_row_of_its_input(value, weight, message):
 
 
 def test_apply_peaks_in_blocks_not_in_rows():
-    # the n x k output plus the folded last block's one-hot matrix (1.01
-    # blocks of 8,192 rows, 61 columns wide as the academic matrix), its
-    # finiteness masks and probabilities: measured 1.25 block matrices. One
-    # matrix of all 41,060 rows peaked at 5.85, and holding a block while
-    # assembling the next at 2.08.
+    # the n x k output plus the folded last block's one-hot matrix (1.02
+    # blocks of CHUNK_ROWS rows, 61 columns wide as the academic matrix), its
+    # finiteness mask and probabilities: measured 1.28 block matrices (1.25
+    # in blocks of 8,192 rows). One matrix of all 41,060 rows peaked at 5.85,
+    # and holding a block while assembling the next at 2.08.
     ds, bundle = _scoring_bundle(5 * _BLOCK + 100, 3, numeric=57)
     tracemalloc.start()
     try:
