@@ -248,7 +248,9 @@ def _multinomial_value_grad(
     while the block is still in cache, so one evaluation reads ``xt`` from
     memory once. The sums run block by block in a fixed order, so a fit's
     last bits depend on the block size: it is a constant, not taken from the
-    host's cache size, so that they are the same on every host.
+    host's cache size, so the cache size cannot move them. (They still
+    depend on the CPU family, Python minor version, numpy build and
+    OpenBLAS build, as the README says.)
     """
     k = len(counts)
     d, n = xt.shape

@@ -197,6 +197,16 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def _require_two_classes(targets: np.ndarray, class_names: tuple[str, ...], where: str) -> None:
+    """A LabelError, prefixed with ``where``, unless ``targets`` show at
+    least two of ``class_names``."""
+    observed = np.flatnonzero(np.bincount(targets))
+    if observed.size < 2:
+        raise LabelError(
+            f"{where}: training needs at least 2 classes, got {[class_names[k] for k in observed]}"
+        )
+
+
 def generate_style_sessions(cfg: StyleGenConfig) -> list[tuple[StyleSession, StyleLabel]]:
     """Seeded synthetic sessions with a planted latent style per student.
 
@@ -385,11 +395,12 @@ def fit_dataset(
     the process's resident memory at once. The train rows are predicted
     data.CHUNK_ROWS at a time, and the matrix is dropped before the test
     rows are scored. A caller that keeps a reference keeps its table alive
-    and whole.
+    and whole. A train split that shows fewer than two classes is a
+    LabelError, raised before the fit.
 
-    At 76,519 academic rows, `train --solver gd` peaks at its fit, at 69.1 MB
-    resident on x86-64 Linux (72.8 MB with the generator's draws in malloc's
-    heap, 83.0 MB with the table there too). tracemalloc,
+    At 76,519 academic rows, `train --solver gd` peaks at its fit, at 65.8 MB
+    resident on x86-64 Linux (3.7 MB more with the generator's draws in
+    malloc's heap, 13.9 MB more with the table there too). tracemalloc,
     which does not see mapped pages, reads the fit's peak at 20,000 rows as
     1.09 one-hot matrices of all rows with gd and 1.02 with lbfgs and sgd:
     the train matrix, the test table and the solver's arrays.
@@ -397,6 +408,9 @@ def fit_dataset(
     class_names, feature_names, columns = ds.class_names, ds.feature_names, ds.columns
     train_rows, test_rows = data_mod.split_indices(ds.n_rows, split_spec)
     y_train, test = ds.targets[train_rows], ds.take(test_rows)
+    _require_two_classes(
+        y_train, class_names, f"train split (fraction {split_spec.train_fraction} of {ds.n_rows} rows)"
+    )
     table = dict(ds.features)  # this call's own mapping, which assemble empties
     del ds  # the Dataset, freed here if this was the last reference
     xt = data_mod.assemble(test, train_rows, feature_major=True, features=table)  # test: the layout
@@ -700,11 +714,6 @@ def task_dataset(
         ds = build_style_dataset(generate_style_sessions(StyleGenConfig(n_students=n, seed=seed)))
     else:
         ds = generate_academic_synthetic(n, seed)
-    observed = np.flatnonzero(np.bincount(ds.targets))
-    if observed.size < 2:
-        target = next(c.name for c in ds.columns if c.kind == "target")
-        raise LabelError(
-            f"{csv_path or 'synthetic data'}: target '{target}': training needs at least "
-            f"2 classes, got {[ds.class_names[k] for k in observed]}"
-        )
+    target = next(c.name for c in ds.columns if c.kind == "target")
+    _require_two_classes(ds.targets, ds.class_names, f"{csv_path or 'synthetic data'}: target '{target}'")
     return ds

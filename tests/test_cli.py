@@ -493,6 +493,18 @@ def test_train_one_class_target_exits_1(tmp_path, allowed, rows, got):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v_data.csv", "v_schema.json"]
 
 
+def test_train_split_with_one_class_exits_1(tmp_path):
+    """A dataset of two classes whose train split shows one (here one row
+    of 600) is refused before the fit, and nothing is written."""
+    r = run_cli(["train", "--task", "style", "--train-fraction", "0.001", "--out", "o_"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == (
+        "error[LabelError]: train split (fraction 0.001 of 600 rows): training needs at least "
+        "2 classes, got ['auditory']\n"
+    ), r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_schema_without_a_feature_column_exits_1(tmp_path):
     """A schema whose only non-skip column is the target has nothing to
     learn from: train refuses it rather than fit an intercept-only model,
@@ -1289,6 +1301,48 @@ def test_main_module_defaults_blas_to_one_thread():
 def test_main_module_keeps_a_thread_count_the_user_set():
     chosen = dict.fromkeys(BLAS_THREAD_VARS, "3")
     assert _thread_vars_after("edulearn.__main__", chosen) == str(["3", "3", "3"])
+
+
+def test_main_module_draws_seeded_numbers_without_openssl():
+    """The first ``default_rng`` imports ``secrets`` and so ``hmac``; under
+    the entry point that loads neither ``_hashlib`` nor ``libcrypto``."""
+    code = ("import os, sys, edulearn.__main__, numpy as np; np.random.default_rng(0); "
+            "maps = '/proc/self/maps'; "
+            "mapped = os.path.exists(maps) and 'libcrypto' in open(maps).read(); "
+            "print(sys.modules.get('_hashlib') is None, mapped)")
+    assert _child_stdout(code).split() == ["True", "False"]
+
+
+def test_main_module_keeps_hashing_and_unseeded_draws():
+    code = ("import hashlib, hmac, edulearn.__main__, numpy as np; "
+            "print(hashlib.sha256(b'x').hexdigest(), "
+            "hmac.compare_digest(b'a', b'a'), hmac.compare_digest(b'a', b'b'), "
+            "np.random.default_rng().random() != np.random.default_rng().random())")
+    assert _child_stdout(code).split() == [
+        "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881", "True", "False", "True",
+    ]
+
+
+def test_library_import_leaves_openssl_loadable():
+    pytest.importorskip("_hashlib")
+    code = ("import sys, edulearn.cli, numpy as np; np.random.default_rng(0); "
+            "print(sys.modules.get('_hashlib') is not None)")
+    assert _child_stdout(code) == "True"
+
+
+def test_predict_process_never_imports_numpy_random(style_model, tmp_path):
+    """``predict`` draws no random numbers, so its peak stays at the import
+    floor: it must not import ``numpy.random`` at all."""
+    argv = ["predict", "--model", str(style_model / "m_model.json"),
+            "--input", str(style_model / "d_data.csv"), "--out", str(tmp_path / "p_")]
+    code = f"import sys, edulearn.__main__ as m; print(m.main({argv!r}), 'numpy.random' in sys.modules)"
+    assert _child_stdout(code).split()[-2:] == ["0", "False"]
+
+
+def test_train_writes_nothing_to_stderr(tmp_path):
+    """The builtin digests that stand in for OpenSSL log nothing."""
+    r = run_cli(["train", "--task", "style", "--json", "--out", "o_"], tmp_path)
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_library_import_leaves_the_thread_count_alone():

@@ -36,7 +36,7 @@ from edulearn.data import (
     split,
     transform,
 )
-from edulearn.errors import DegenerateDataError, ParameterError
+from edulearn.errors import DegenerateDataError, LabelError, ParameterError
 from edulearn.pipelines import (
     ACADEMIC_CLASS_NAMES,
     ACADEMIC_PRIOR,
@@ -587,6 +587,11 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
     kept = {name: values.copy() for name, values in ds.features.items()}
     spec = SplitSpec(0.7, seed=seed % 1000)
     opt = OptimizerConfig(solver=solver, max_iter=3, epochs=1, l1=l1 if solver == "sgd" else 0.0)
+    train, test = split(ds, spec)
+    if np.unique(train.targets).size < 2:
+        with pytest.raises(LabelError, match=r"^train split \(fraction 0\.7 of \d+ rows\): training"):
+            fit_dataset(ds, opt, spec, "synthetic", "academic")
+        return
     with mock.patch.object(pipelines, "train_logistic", wraps=train_logistic) as fit, \
             mock.patch.object(pipelines, "predict", wraps=pipelines.predict) as scored, \
             mock.patch.object(pipelines, "predict_proba", wraps=pipelines.predict_proba) as proba:
@@ -595,7 +600,6 @@ def test_fit_dataset_trains_and_scores_on_the_split_scaled_rows(
     # a caller that keeps its reference finds its dataset unchanged
     for name, values in ds.features.items():
         assert values.tobytes() == kept[name].tobytes() and not values.flags.writeable
-    train, test = split(ds, spec)
     train_rows, test_rows = assemble(train), assemble(test)
     scaler = fit_scaler(train_rows)
     # fit_scaler's bits are the two-pass formula's on the row-major train rows

@@ -64,3 +64,44 @@ def test_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+_ENVIRON_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _process_state_writes(tree) -> list[str]:
+    """Each place under ``tree`` that writes ``os.environ`` (an item
+    assigned or deleted, or a mutating method called), calls ``os.putenv``
+    or ``os.unsetenv``, or touches ``sys.modules`` at all."""
+
+    def is_attr(node, owner, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == owner)
+
+    found = []
+    for n in ast.walk(tree):
+        if is_attr(n, "sys", "modules"):
+            found.append(f"{n.lineno}: sys.modules")
+        elif isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)) \
+                and is_attr(n.value, "os", "environ"):
+            found.append(f"{n.lineno}: os.environ[...]")
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            if n.func.attr in _ENVIRON_WRITES and is_attr(n.func.value, "os", "environ"):
+                found.append(f"{n.lineno}: os.environ.{n.func.attr}")
+            elif is_attr(n.func, "os", "putenv") or is_attr(n.func, "os", "unsetenv"):
+                found.append(f"{n.lineno}: os.{n.func.attr}")
+    return found
+
+
+def test_only_the_entry_point_sets_process_wide_state():
+    """The BLAS thread defaults and the absent ``_hashlib`` are the CLI's
+    alone: no edulearn module but ``__main__`` writes ``os.environ`` or
+    touches ``sys.modules``, so ``import edulearn.cli`` changes neither."""
+    writes = {
+        path.name: _process_state_writes(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC_DIR.glob("*.py"))
+    }
+    assert sorted(w.split(": ")[1] for w in writes.pop("__main__.py")) == [
+        "os.environ.setdefault", "sys.modules",
+    ]
+    assert {name: found for name, found in writes.items() if found} == {}
